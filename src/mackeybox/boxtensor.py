@@ -114,7 +114,8 @@ def box_many(factors, limit=None):
         n_tr *= d
     if n_pure + 2 * n_tr > limit:
         raise SizeLimit(
-            f"box product would need {n_pure + n_tr} top generators (limit {limit})"
+            f"box product would need {n_pure + 2 * n_tr} generators, {n_pure + n_tr} top"
+            f" and {n_tr} bottom (limit {limit})"
         )
 
     bottom = _tensor_many([f.bottom for f in factors])

@@ -10,9 +10,10 @@ rotation maps defined on labels stay meaningful downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 
 from .errors import IllFormedHom, InfiniteGroup
 from .intlinalg import (
@@ -38,10 +39,27 @@ class FGAbPresentation:
                 f"relations have {self.relations.ncols} columns, expected {self.num_generators}"
             )
 
-    # -- canonical form -------------------------------------------------
+    # -- Smith form of the relations, computed once per object -----------
+    @cached_property
+    def _reducer(self):
+        """(kept, canonical) from U @ relations^T @ V == D in Smith form.
+
+        ``vec`` lies in the row span of the relations exactly when ``U @ vec``
+        lies in the column span of D: entry i is 0 where d_i == 0 and a
+        multiple of d_i otherwise.  ``kept`` holds the pairs (U row i, d_i)
+        with d_i != 1, the only rows that constrain anything.  The value is
+        stored in the instance ``__dict__``, outside the dataclass fields, so
+        equality and hashing ignore it.
+        """
+        u, d, _ = smith_normal_form(self.relations.transpose())
+        k = min(d.nrows, d.ncols)
+        diag = [abs(d.rows[i][i]) if i < k else 0 for i in range(self.num_generators)]
+        kept = tuple((u.rows[i], di) for i, di in enumerate(diag) if di != 1)
+        return kept, (diag.count(0), tuple(x for x in diag if x > 1))
+
     def canonical(self):
         """(free_rank, invariant_factors) with factors > 1 in divisibility order."""
-        return _canonical(self)
+        return self._reducer[1]
 
     @property
     def free_rank(self):
@@ -70,25 +88,23 @@ class FGAbPresentation:
         """True when ``vec`` lies in the integer span of the relations."""
         if len(vec) != self.num_generators:
             raise ValueError("vector length mismatch")
-        return solve(self.relations.transpose(), tuple(vec)) is not None
-
-    def solver(self):
-        return self.reduces_to_zero
-
-    def element_is_zero(self, vec):
-        return self.reduces_to_zero(vec)
+        return _kills(self._reducer[0], vec)
 
     def to_json(self):
         return {"generators": self.num_generators, "relations": self.relations.to_lists()}
 
 
-@lru_cache(maxsize=None)
-def _canonical(pres: FGAbPresentation):
-    _, d, _ = smith_normal_form(pres.relations)
-    diag = [d.rows[i][i] for i in range(min(d.nrows, d.ncols))]
-    nonzero = [x for x in diag if x != 0]
-    inv = tuple(x for x in nonzero if x != 1)
-    return (pres.num_generators - len(nonzero), inv)
+def _kills(kept, vec):
+    """True when ``row @ vec`` is 0 for each kept (row, 0) and a multiple of d
+    for each kept (row, d)."""
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    for row, d in kept:
+        w = 0
+        for j, x in support:
+            w += row[j] * x
+        if w % d if d else w:
+            return False
+    return True
 
 
 def free_group(n):
@@ -119,9 +135,20 @@ class AbHom:
             raise ValueError("matrix columns != source generators")
         if self.matrix.nrows != self.target.num_generators:
             raise ValueError("matrix rows != target generators")
-        for rel in self.source.relations.rows:
-            img = _apply(self.matrix, rel)
-            if not self.target.reduces_to_zero(img):
+        rels = self.source.relations.rows
+        if not rels:
+            return
+        # (U_i @ matrix) @ rel == U_i @ (matrix @ rel): fold the kept rows of
+        # the target's reducer into the map once; a zero row kills everything
+        cols = list(zip(*self.matrix.rows))
+        folded = []
+        for row, d in self.target._reducer[0]:
+            urow = [sum(map(mul, row, col)) for col in cols]
+            if any(urow):
+                folded.append((urow, d))
+        for rel in rels:
+            if not _kills(folded, rel):
+                img = _apply(self.matrix, rel)
                 raise IllFormedHom(
                     f"source relation {list(rel)} maps to {list(img)} outside target relations"
                 )

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _snf_py
-from .errors import IllFormedHom
 
 try:  # compiled kernel is optional
     from . import _snf_core
@@ -289,14 +288,3 @@ def hermite_row_basis(rows, ncols):
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
     return tuple(tuple(r) for r in basis)
-
-
-def require_well_defined(matrix, source_relations, target_solver, context=""):
-    """Check matrix sends each source relation into the target relation span."""
-    for rel in source_relations.rows:
-        image = tuple(sum(m * r for m, r in zip(row, rel)) for row in matrix.rows)
-        if target_solver(image) is None:
-            raise IllFormedHom(
-                f"relation {list(rel)} maps to {list(image)} outside the target relation span"
-                + (f" ({context})" if context else "")
-            )

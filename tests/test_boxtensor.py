@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mackeybox.boxtensor import (
@@ -68,8 +70,12 @@ def test_box_prime_mismatch():
 
 
 def test_box_size_limit():
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit) as err:
         box_power(constant(2, 0), 3, limit=2)
+    # one generator per level in each factor: 1 pure + 1 transfer class on
+    # top and 1 on the bottom, and the message must report that tested total
+    needed = int(re.search(r"need (\d+) generators", str(err.value)).group(1))
+    assert needed == 3 > 2
 
 
 def unitor_corpus():

@@ -1,6 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from mackeybox.errors import IllFormedHom, InfiniteGroup
 from mackeybox.exactlin import (
@@ -161,14 +165,52 @@ def test_ill_formed_hom_rejected():
         AbHom(cyclic_group(4), free_group(1), IntMatrix([[1]]))
 
 
+def test_ill_formed_hom_names_the_failing_relation():
+    # Z/2 + Z/3 -> Z/4 by e_0 |-> 4, e_1 |-> 1: the first relation 2e_0 maps
+    # to 8 == 0, the second relation 3e_1 maps to 3 != 0, and only it is named
+    source = FGAbPresentation(2, IntMatrix([[2, 0], [0, 3]]))
+    with pytest.raises(IllFormedHom) as err:
+        AbHom(source, cyclic_group(4), IntMatrix([[4, 1]]))
+    assert str(err.value) == "source relation [0, 3] maps to [3] outside target relations"
+
+
+def test_ill_formed_hom_into_free_summand():
+    # Z/2 -> Z by 1 |-> 1: the relation 2 maps to 2, nonzero in Z (d = 0)
+    with pytest.raises(IllFormedHom) as err:
+        AbHom(cyclic_group(2), free_group(1), IntMatrix([[1]]))
+    assert "[2] maps to [2]" in str(err.value)
+    # Z/2 -> Z/3 + Z by 1 |-> (3, 1): the relation 2 maps to (6, 2), which is
+    # zero in the Z/3 summand but not in the free one
+    target = FGAbPresentation(2, IntMatrix([[3, 0]]))
+    AbHom(cyclic_group(2), target, IntMatrix([[3], [0]]))
+    with pytest.raises(IllFormedHom) as err:
+        AbHom(cyclic_group(2), target, IntMatrix([[3], [1]]))
+    assert "[2] maps to [6, 2]" in str(err.value)
+
+
+def test_hom_into_zero_group():
+    zero_hom(cyclic_group(5), zero_group())
+    zero_hom(free_group(2), zero_group())
+    f = AbHom(FGAbPresentation(2, IntMatrix([[2, 4], [0, 0]])), zero_group(), IntMatrix.zeros(0, 2))
+    assert f.is_zero()
+
+
+def test_cached_reducer_leaves_equality_and_hash_alone():
+    a = FGAbPresentation(2, IntMatrix([[2, 0], [0, 0]]))
+    b = FGAbPresentation(2, IntMatrix([[2, 0], [0, 0]]))
+    assert a.reduces_to_zero((4, 0)) and not a.reduces_to_zero((0, 1))
+    assert a.canonical() == (1, (2,))
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert AbHom(a, b, IntMatrix.identity(2)) == AbHom(b, a, IntMatrix.identity(2))
+
+
 # ---------------------------------------------------------------------------
 # tensor
 
 
 def cyclic_tensor_oracle(a, b):
     # gcd oracle: Z/a (x) Z/b = Z/gcd(a,b); 0 means Z
-    import math
-
     if a == 0 and b == 0:
         return (1, ())
     g = math.gcd(a, b) if a and b else (b if a == 0 else a)
@@ -223,6 +265,44 @@ def test_solve_membership():
     gens = IntMatrix([[2]])  # subgroup generated by 2
     assert solve_membership(g, gens, (4,)) is not None
     assert solve_membership(g, gens, (3,)) is None
+
+
+def lattice_invariants(rows):
+    """(rank, product of nonzero invariant factors) of the row lattice, by sympy."""
+    if not rows:
+        return 0, 1
+    d = sympy_smith_normal_form(Matrix(rows), domain=ZZ)
+    nonzero = [abs(int(d[i, i])) for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
+    return len(nonzero), math.prod(nonzero)
+
+
+@st.composite
+def relations_and_vector(draw):
+    """Up to 4x4 relations with entries in -6..6 (zero rows and free parts
+    allowed) and a vector, half the time an integer combination of the rows."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=4))
+    entry = st.integers(min_value=-6, max_value=6)
+    row = st.one_of(st.just([0] * n), st.lists(entry, min_size=n, max_size=n))
+    rows = [draw(row) for _ in range(m)]
+    if rows and draw(st.booleans()):
+        coeffs = [draw(entry) for _ in rows]
+        vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    else:
+        vec = draw(st.lists(entry, min_size=n, max_size=n))
+    return rows, vec
+
+
+@given(relations_and_vector())
+@settings(max_examples=300, deadline=None)
+def test_reduces_to_zero_matches_sympy_oracle(case):
+    # L <= L + Z vec, so vec lies in L exactly when both lattices have the same
+    # rank and the same gcd of maximal minors (the product of nonzero factors)
+    rows, vec = case
+    n = len(vec)
+    pres = FGAbPresentation(n, IntMatrix(rows, n))
+    in_lattice = lattice_invariants(rows) == lattice_invariants(rows + [vec])
+    assert pres.reduces_to_zero(vec) == in_lattice
 
 
 def test_factor_through_injection():
