@@ -1,11 +1,8 @@
-"""Smith normal form over the integers, pure Python reference kernel.
+"""Smith normal form over the integers: the library's one kernel.
 
-Arbitrary-precision, always correct; the compiled twin in ``_snf_core``
-handles the common small-entry case faster and defers to this module when
-its 64-bit arithmetic would overflow.  Both kernels work on plain
-list-of-lists and return ``(U, D, V)`` with ``U @ A @ V == D``, ``U`` and
-``V`` unimodular, ``D`` diagonal with each diagonal entry dividing the next
-and zeros last.
+Pure Python and arbitrary precision.  It works on plain list-of-lists and
+returns ``(U, D, V)`` with ``U @ A @ V == D``, ``U`` and ``V`` unimodular,
+``D`` diagonal with each diagonal entry dividing the next and zeros last.
 """
 
 

@@ -63,12 +63,6 @@ class BoxProduct:
     def pure_count(self):
         return sum(1 for lbl in self.top_labels if lbl[0] == "pure")
 
-    def top_index(self, label):
-        return self.top_labels.index(label)
-
-    def bot_index(self, tup):
-        return self.bot_labels.index(tup)
-
 
 def _tensor_many(presentations):
     t = presentations[0]
@@ -166,9 +160,7 @@ def box_many(factors, limit=None):
                 row = list(pure_part) + [-c for c in tr_part]
                 rel_rows.append(tuple(row))
 
-    top = FGAbPresentation(
-        n_top, IntMatrix(rel_rows, n_top) if rel_rows else IntMatrix.zeros(0, n_top)
-    )
+    top = FGAbPresentation(n_top, IntMatrix(rel_rows, n_top))
 
     # transfer: inclusion of the transfer-class block
     tr_mat = IntMatrix.zeros(n_pure, n_tr).vstack(IntMatrix.identity(n_tr))
@@ -272,12 +264,6 @@ class BilinearPairing:
         if bad:
             raise IncompatiblePairing(bad[0], f"violations: {bad}")
 
-    def apply_top(self, x_vec, y_vec):
-        return self.f_top(vector_tensor(x_vec, y_vec))
-
-    def apply_bot(self, x_vec, y_vec):
-        return self.f_bot(vector_tensor(x_vec, y_vec))
-
 
 def _tensor_pres(a, b):
     t, _ = tensor(a, b)
@@ -328,16 +314,12 @@ def _map_from_columns(bp, target, top_cols, bot_cols):
     f_top = AbHom(
         bp.result.top,
         target.top,
-        IntMatrix.from_columns(top_cols, target.top.num_generators)
-        if top_cols
-        else IntMatrix.zeros(target.top.num_generators, 0),
+        IntMatrix.from_columns(top_cols, target.top.num_generators),
     )
     f_bot = AbHom(
         bp.result.bottom,
         target.bottom,
-        IntMatrix.from_columns(bot_cols, target.bottom.num_generators)
-        if bot_cols
-        else IntMatrix.zeros(target.bottom.num_generators, 0),
+        IntMatrix.from_columns(bot_cols, target.bottom.num_generators),
     )
     return MackeyMap(bp.result, target, f_top, f_bot)
 
@@ -531,11 +513,7 @@ def burnside_action_pairing(m: MackeyFunctor) -> BilinearPairing:
                 top_cols.append(_unit_vec(m.top.num_generators, b))
             else:
                 top_cols.append(trres.matrix.column(b))
-    top_mat = (
-        IntMatrix.from_columns(top_cols, m.top.num_generators)
-        if top_cols
-        else IntMatrix.zeros(m.top.num_generators, 0)
-    )
+    top_mat = IntMatrix.from_columns(top_cols, m.top.num_generators)
     bot_mat = IntMatrix.identity(m.bottom.num_generators)
     return pairing_from_matrices(a, m, m, top_mat, bot_mat)
 
@@ -632,11 +610,7 @@ def invert_iso(m: MackeyMap) -> MackeyMap:
             if c is None:
                 raise ValueError("map is not surjective")
             cols.append(c)
-        mat = (
-            IntMatrix.from_columns(cols, h.source.num_generators)
-            if cols
-            else IntMatrix.zeros(h.source.num_generators, 0)
-        )
+        mat = IntMatrix.from_columns(cols, h.source.num_generators)
         return AbHom(h.target, h.source, mat)
 
     return MackeyMap(m.target, m.source, invert(m.f_top), invert(m.f_bot))
@@ -666,21 +640,6 @@ def relative_box_raw(m, n, right_pairing: BilinearPairing, left_pairing: Bilinea
     lam = contract_pair(t3, 1, left_pairing, t2)
     diff = rho - lam
     return _quotient_by_map_image(t2, [diff])
-
-
-def relative_power(m, k, right_pairing, left_pairing, ring, limit=None):
-    """k-fold box power of m with adjacent slots glued over the ring."""
-    base = box_power(m, k, limit=limit)
-    if k == 1:
-        return base
-    diffs = []
-    for i in range(k - 1):
-        factors = [m] * (i + 1) + [ring] + [m] * (k - 1 - i)
-        q = box_many(factors, limit=limit)
-        rho = contract_pair(q, i, right_pairing, base)
-        lam = contract_pair(q, i + 1, left_pairing, base)
-        diffs.append(rho - lam)
-    return _quotient_by_map_image(base, diffs)
 
 
 def _quotient_by_map_image(bp: BoxProduct, maps):

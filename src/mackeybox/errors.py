@@ -39,10 +39,6 @@ class NotAModule(MackeyboxError):
     pass
 
 
-class NotAnAlgebra(MackeyboxError):
-    pass
-
-
 class NotCommutative(MackeyboxError):
     pass
 
@@ -81,15 +77,3 @@ class NotEquivariant(MackeyboxError):
 
 class NotInjective(MackeyboxError):
     pass
-
-
-class BidegreeMismatch(MackeyboxError):
-    pass
-
-
-class SchemaError(MackeyboxError):
-    """Problem-file validation failure; carries a JSON-pointer location."""
-
-    def __init__(self, pointer, message):
-        self.pointer = pointer
-        super().__init__(f"{pointer}: {message}")

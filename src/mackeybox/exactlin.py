@@ -234,7 +234,7 @@ def present_quotient(generators: IntMatrix, killed: IntMatrix):
     rel_rows = []
     for vec in kernel_basis(stacked):
         rel_rows.append(vec[:t])
-    rels = IntMatrix(rel_rows, t) if rel_rows else IntMatrix.zeros(0, t)
+    rels = IntMatrix(rel_rows, t)
     return FGAbPresentation(t, rels)
 
 
@@ -247,7 +247,7 @@ def hom_kernel(f: AbHom):
     n = src.num_generators
     for vec in kernel_basis(stacked):
         gen_cols.append(vec[:n])
-    gens = IntMatrix.from_columns(gen_cols, n) if gen_cols else IntMatrix.zeros(n, 0)
+    gens = IntMatrix.from_columns(gen_cols, n)
     k_pres = present_quotient(gens, src.relations.transpose())
     incl = AbHom(k_pres, src, gens)
     return k_pres, incl
@@ -274,9 +274,7 @@ def hom_image(f: AbHom):
 
 def quotient_by_subgroup(pres: FGAbPresentation, element_rows):
     """Quotient by the subgroup generated by the given element vectors."""
-    extra = IntMatrix(element_rows, pres.num_generators) if element_rows else IntMatrix.zeros(
-        0, pres.num_generators
-    )
+    extra = IntMatrix(element_rows, pres.num_generators)
     q = FGAbPresentation(pres.num_generators, pres.relations.vstack(extra))
     proj = AbHom(pres, q, IntMatrix.identity(pres.num_generators))
     return q, proj
@@ -332,9 +330,6 @@ class TensorIndex:
     def __call__(self, i, j):
         return i * self.n_right + j
 
-    def unpack(self, k):
-        return divmod(k, self.n_right)
-
     def size(self):
         return self.n_left * self.n_right
 
@@ -356,7 +351,7 @@ def tensor(a: FGAbPresentation, b: FGAbPresentation):
             for j in range(nb):
                 row[idx(i, j)] = rel[j]
             rows.append(row)
-    t = FGAbPresentation(na * nb, IntMatrix(rows, na * nb) if rows else IntMatrix.zeros(0, na * nb))
+    t = FGAbPresentation(na * nb, IntMatrix(rows, na * nb))
     return t, idx
 
 
@@ -394,9 +389,6 @@ class FiniteModel:
 
     def add(self, c1, c2):
         return tuple((a + b) % d for a, b, d in zip(c1, c2, self.moduli))
-
-    def neg(self, c):
-        return tuple((-a) % d for a, d in zip(c, self.moduli))
 
     def zero(self):
         return (0,) * len(self.moduli)
@@ -467,11 +459,7 @@ def subgroup_presentation(model: FiniteModel, elements):
     """(P, incl) presenting the subgroup spanned by the given elements."""
     gens = sorted(elements)
     cols = [model.from_canonical(c) for c in gens]
-    mat = (
-        IntMatrix.from_columns(cols, model.pres.num_generators)
-        if cols
-        else IntMatrix.zeros(model.pres.num_generators, 0)
-    )
+    mat = IntMatrix.from_columns(cols, model.pres.num_generators)
     pres = present_quotient(mat, model.pres.relations.transpose())
     incl = AbHom(pres, model.pres, mat)
     return pres, incl

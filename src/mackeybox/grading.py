@@ -82,10 +82,6 @@ class RODegree:
         """The regular representation: trivial summand plus all the rest."""
         return cls(p, 1, (1,) * (1 if p == 2 else (p - 1) // 2))
 
-    @classmethod
-    def sigma(cls):
-        return cls(2, 0, (1,))
-
     def to_json(self):
         return {"a": self.a, "m": list(self.m)}
 
@@ -186,9 +182,6 @@ class GradedGreenTower:
 
     def piece(self, deg):
         return self.pieces.get(deg, zero_mackey(self.prime))
-
-    def nonzero_degrees(self):
-        return [d for d, m in self.pieces.items() if not m.is_zero()]
 
 
 def em_tower(shape: FieldShape, window) -> GradedGreenTower:

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 from .boxtensor import (
     BilinearPairing,
-    BoxProduct,
     box,
     box_many,
-    box_power,
-    burnside_action_pairing,
     contract_pair,
     map_from_pairing,
     pairing_from_matrices,
-    permute_twist,
     relative_box_raw,
     swap_map,
     unitor,
@@ -38,9 +34,7 @@ from .exactlin import (
     AbHom,
     FGAbPresentation,
     cyclic_group,
-    factor_through_injection,
     finite_model,
-    hom_cokernel,
     hom_kernel,
     identity_hom,
     solve_membership,
@@ -206,11 +200,7 @@ def fixed_point_green(p, v: FGAbPresentation, gamma: AbHom, bot_mult: IntMatrix,
             if coef is None:
                 raise NotAModule("fixed level is not closed under multiplication")
             top_cols.append(coef)
-    top_mult = (
-        IntMatrix.from_columns(top_cols, n_top)
-        if top_cols
-        else IntMatrix.zeros(n_top, 0)
-    )
+    top_mult = IntMatrix.from_columns(top_cols, n_top)
     one_top = solve_membership(v, incl.matrix, tuple(one_bot_vec))
     if one_top is None:
         raise NotAModule("ring unit is not fixed by the action")
@@ -295,8 +285,8 @@ def right_action_of(module: GreenModule) -> BilinearPairing:
         m,
         r,
         m,
-        IntMatrix.from_columns(top_cols, nt_m) if top_cols else IntMatrix.zeros(nt_m, 0),
-        IntMatrix.from_columns(bot_cols, nb_m) if bot_cols else IntMatrix.zeros(nb_m, 0),
+        IntMatrix.from_columns(top_cols, nt_m),
+        IntMatrix.from_columns(bot_cols, nb_m),
     )
 
 
@@ -554,11 +544,7 @@ def ideal_generated_by(m: MackeyFunctor, mult: BilinearPairing, level, element_v
 def subgroup_is_full(pres, rows):
     for i in range(pres.num_generators):
         e = tuple(1 if k == i else 0 for k in range(pres.num_generators))
-        mat = (
-            IntMatrix(rows, pres.num_generators)
-            if rows
-            else IntMatrix.zeros(0, pres.num_generators)
-        )
+        mat = IntMatrix(rows, pres.num_generators)
         if solve_membership(pres, mat.transpose(), e) is None:
             return False
     return True

@@ -1,35 +1,24 @@
-"""Exact integer matrices and the Smith-normal-form backend dispatch.
+"""Exact integer matrices and their Smith normal form.
 
-Matrices are immutable, hashable, dense, and arbitrary precision.  The Smith
-normal form routine prefers the compiled ``_snf_core`` kernel when it is
-importable and all entries fit in 64 bits, falling back to the pure-Python
-kernel otherwise.  Set ``MACKEYBOX_PURE=1`` to force the fallback (used by
-the backend tests; the benchmark refuses to run with it set).
+Matrices are immutable, hashable, dense, and arbitrary precision.  Every
+Smith normal form comes from the pure-Python kernel in ``_snf_py`` and is
+cached by matrix value.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _snf_py
 
-try:  # compiled kernel is optional
-    from . import _snf_core
-except ImportError:  # pragma: no cover - depends on build environment
-    _snf_core = None
-
-_I64_MIN = -(2**63)
-_I64_MAX = 2**63 - 1
+# perfbench reads these two names (its tracer and its environment line); the
+# library has one Smith-form kernel, so there is nothing compiled to report.
+_snf_core = None
 
 
 def compiled_kernel_available():
-    return _snf_core is not None
-
-
-def _force_pure():
-    return os.environ.get("MACKEYBOX_PURE", "") == "1"
+    return False
 
 
 class IntMatrix:
@@ -70,10 +59,6 @@ class IntMatrix:
         if any(len(c) != nrows for c in cols):
             raise ValueError("column length mismatch")
         return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)), len(cols))
-
-    @classmethod
-    def column_vector(cls, entries):
-        return cls(tuple((int(x),) for x in entries), 1)
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
@@ -163,23 +148,9 @@ class IntMatrix:
         )
 
 
-def _fits_i64(mat):
-    return all(_I64_MIN <= x <= _I64_MAX for r in mat.rows for x in r)
-
-
 @lru_cache(maxsize=None)
 def smith_normal_form(mat: IntMatrix):
     """(U, D, V) with U @ mat @ V == D in Smith normal form."""
-    if _snf_core is not None and not _force_pure() and _fits_i64(mat):
-        try:
-            u, d, v = _snf_core.smith_normal_form(mat.to_lists(), mat.nrows, mat.ncols)
-            return (
-                IntMatrix(u, mat.nrows),
-                IntMatrix(d, mat.ncols),
-                IntMatrix(v, mat.ncols),
-            )
-        except OverflowError:
-            pass
     u, d, v = _snf_py.smith_normal_form(mat.rows, mat.nrows, mat.ncols)
     return IntMatrix(u, mat.nrows), IntMatrix(d, mat.ncols), IntMatrix(v, mat.ncols)
 
@@ -187,10 +158,6 @@ def smith_normal_form(mat: IntMatrix):
 def smith_diagonal(mat):
     _, d, _ = smith_normal_form(mat)
     return tuple(d.rows[i][i] for i in range(min(d.nrows, d.ncols)))
-
-
-def snf_rank(mat):
-    return sum(1 for x in smith_diagonal(mat) if x != 0)
 
 
 def solve(mat, target):

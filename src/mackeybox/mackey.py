@@ -23,7 +23,6 @@ from .exactlin import (
     free_group,
     hom_kernel,
     identity_hom,
-    present_quotient,
     subgroup_key,
     subgroup_presentation,
     zero_group,
@@ -285,9 +284,7 @@ def mackey_direct_sum(a: MackeyFunctor, b: MackeyFunctor):
         for hom, incl_t in ((f_a, tgt_incls[0]), (f_b, tgt_incls[1])):
             for j in range(hom.matrix.ncols):
                 cols.append(incl_t(hom.matrix.column(j)))
-        mat = IntMatrix.from_columns(cols, tgt.num_generators) if cols else IntMatrix.zeros(
-            tgt.num_generators, 0
-        )
+        mat = IntMatrix.from_columns(cols, tgt.num_generators)
         return AbHom(src, tgt, mat)
 
     tr = block(a.tr, b.tr, bot, top, (ia_t, ib_t))

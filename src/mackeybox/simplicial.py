@@ -10,7 +10,7 @@ the pinch construction are all built combinatorially and re-validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     InsufficientTruncation,
@@ -142,24 +142,6 @@ class SimplicialGSet:
                     seen[y] = True
                     y = a[y]
         return reps
-
-    def orbit_decompose(self, n, x):
-        """(representative, twist) with x = action^twist(representative)."""
-        a = self.action[n]
-        reps = self.orbit_representatives(n)
-        rep_set = set(reps)
-        twist = 0
-        y = x
-        seen = set()
-        while y not in rep_set:
-            # walk backwards: find z with a[z] = y
-            z = a.index(y)
-            y = z
-            twist += 1
-            if y in seen:
-                raise ValueError("orbit walk diverged")
-            seen.add(y)
-        return y, twist % self.order
 
     def to_json(self):
         return {

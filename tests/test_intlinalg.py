@@ -1,27 +1,16 @@
-import os
-import pathlib
-import subprocess
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
-import mackeybox
-from mackeybox import _snf_py
 from mackeybox.intlinalg import (
     IntMatrix,
-    compiled_kernel_available,
     hermite_row_basis,
     kernel_basis,
     smith_normal_form,
     solve,
     unimodular_inverse,
 )
-
-try:
-    from mackeybox import _snf_core
-except ImportError:
-    _snf_core = None
 
 
 entries = st.integers(min_value=-50, max_value=50)
@@ -34,25 +23,32 @@ def raw_matrices(draw, max_dim=4):
     return [[draw(entries) for _ in range(n)] for _ in range(m)], m, n
 
 
+def sympy_invariant_factors(rows, m, n):
+    """Diagonal of sympy's Smith form as absolute values, zeros last."""
+    if not (m and n):
+        return []
+    d = sympy_smith_normal_form(Matrix(rows), domain=ZZ)
+    diag = [abs(int(d[i, i])) for i in range(min(m, n))]
+    return [x for x in diag if x] + [x for x in diag if not x]
+
+
 @given(raw_matrices())
 @settings(max_examples=120, deadline=None)
-def test_backends_agree(data):
+def test_snf_matches_sympy(data):
     rows, m, n = data
-    u1, d1, v1 = _snf_py.smith_normal_form(rows, m, n)
-    if _snf_core is not None:
-        u2, d2, v2 = _snf_core.smith_normal_form(rows, m, n)
-        assert d1 == d2
-        # transforms may differ; both must be valid
-        for u, d, v in [(u1, d1, v1), (u2, d2, v2)]:
-            um = IntMatrix(u, m)
-            vm = IntMatrix(v, n)
-            am = IntMatrix(rows, n)
-            dm = IntMatrix(d, n)
-            assert (um @ am @ vm) == dm
+    a = IntMatrix(rows, n)
+    u, d, v = smith_normal_form(a)
+    diag = [d.rows[i][i] for i in range(min(m, n))]
+    assert diag == sympy_invariant_factors(rows, m, n)
+    assert d == IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(m)], n)
+    assert (u @ a @ v) == d
+    assert (u.nrows, u.ncols, v.nrows, v.ncols) == (m, m, n, n)
+    assert abs(Matrix(m, m, [x for r in u.rows for x in r]).det()) == 1
+    assert abs(Matrix(n, n, [x for r in v.rows for x in r]).det()) == 1
 
 
-def test_overflow_falls_back():
-    # entries beyond int64 must still work through the pure kernel
+def test_snf_arbitrary_precision():
+    # entries far beyond 64 bits stay exact
     big = 2**80
     m = IntMatrix([[big, 2], [0, 3]])
     u, d, v = smith_normal_form(m)
@@ -61,45 +57,12 @@ def test_overflow_falls_back():
     assert diag[0] >= 1 and diag[1] % diag[0] == 0
 
 
-def test_compiled_kernel_present_in_this_build():
-    # the extension is optional: neither setup.py without Cython nor the plain
-    # test run builds it, so this only records which backend is in use; the
-    # pure path is pinned by test_force_pure_env
-    assert compiled_kernel_available() == (_snf_core is not None)
-
-
-def test_force_pure_env():
-    # The child records calls into the pure kernel: the compiled kernel gives
-    # the same diagonal, so the diagonal alone cannot tell which one ran.
-    code = (
-        "from mackeybox import _snf_py\n"
-        "calls = []\n"
-        "_pure = _snf_py.smith_normal_form\n"
-        "def _recording(*args):\n"
-        "    calls.append(args)\n"
-        "    return _pure(*args)\n"
-        "_snf_py.smith_normal_form = _recording\n"
-        "from mackeybox.intlinalg import IntMatrix, smith_normal_form\n"
-        "m = IntMatrix([[2,4],[6,8]])\n"
-        "u,d,v = smith_normal_form(m)\n"
-        "assert calls, 'MACKEYBOX_PURE=1 did not force the pure SNF kernel'\n"
-        "assert d.to_lists() == [[2,0],[0,4]]\n"
-        "print('ok')\n"
-    )
-    # launch the child with the suite's own environment, so it imports the
-    # same mackeybox (from src/ or an install) as this process
-    pkg_parent = str(pathlib.Path(mackeybox.__file__).resolve().parents[1])
-    env = dict(os.environ, MACKEYBOX_PURE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_parent, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
+def test_empty_matrices_equal_zeros():
+    # n = 0 covers the 0x0 case from both sides
+    for n in range(3):
+        assert IntMatrix([], n) == IntMatrix.zeros(0, n)
+        cols = IntMatrix.from_columns([], n)
+        assert cols == IntMatrix.zeros(n, 0) and (cols.nrows, cols.ncols) == (n, 0)
 
 
 def test_solve_and_kernel():
