@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from operator import mul
 
 from .errors import IllFormedHom, InfiniteGroup
@@ -89,6 +89,16 @@ class FGAbPresentation:
         if len(vec) != self.num_generators:
             raise ValueError("vector length mismatch")
         return _kills(self._reducer[0], vec)
+
+    @cached_property
+    def _model(self):
+        """The ``FiniteModel`` of a finite group, built once per object and
+        kept, like ``_reducer``, outside equality and hashing."""
+        if not self.is_finite():
+            raise InfiniteGroup("cannot enumerate an infinite group")
+        u, d, _ = smith_normal_form(self.relations.transpose())
+        moduli = tuple(abs(d.rows[i][i]) for i in range(self.num_generators))
+        return FiniteModel(self, moduli, u, unimodular_inverse(u))
 
     def to_json(self):
         return {"generators": self.num_generators, "relations": self.relations.to_lists()}
@@ -364,7 +374,7 @@ def vector_tensor(x, y):
 # finite models: element enumeration and subgroup lattices
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteModel:
     """Coordinates for a finite presented group.
 
@@ -401,32 +411,17 @@ class FiniteModel:
 
 
 def finite_model(pres: FGAbPresentation) -> FiniteModel:
-    if not pres.is_finite():
-        raise InfiniteGroup("cannot enumerate an infinite group")
-    n = pres.num_generators
-    a = pres.relations.transpose()  # n x r, columns span relations
-    u, d, _ = smith_normal_form(a)
-    k = min(d.nrows, d.ncols)
-    moduli = []
-    for i in range(n):
-        di = d.rows[i][i] if i < k else 0
-        moduli.append(abs(di))
-    # finiteness means no zero survives on the diagonal
-    assert all(m != 0 for m in moduli)
-    return FiniteModel(pres, tuple(moduli), u, unimodular_inverse(u))
+    """The presentation's finite model, built once and shared by every caller."""
+    return pres._model
 
 
-def _closure(model: FiniteModel, gens):
+def _cyclic(model: FiniteModel, g):
+    """The cyclic subgroup generated by canonical coordinates ``g``."""
     seen = {model.zero()}
-    frontier = [model.zero()]
-    gens = [g for g in gens]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = model.add(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    cur = g
+    while cur not in seen:
+        seen.add(cur)
+        cur = model.add(cur, g)
     return frozenset(seen)
 
 
@@ -438,21 +433,30 @@ def subgroup_key(model: FiniteModel, elements):
 
 
 def enumerate_subgroups(model: FiniteModel):
-    """All subgroups as frozensets of canonical coordinates, Hermite-sorted."""
-    elems = model.elements()
-    max_gens = max(1, sum(1 for d in model.moduli if d > 1))
-    found = {}
-    seen_gensets = set()
-    for k in range(0, max_gens + 1):
-        for combo in combinations(elems, k):
-            key = frozenset(combo)
-            if key in seen_gensets:
-                continue
-            seen_gensets.add(key)
-            sub = _closure(model, combo)
-            hkey = subgroup_key(model, sub)
-            found.setdefault(hkey, sub)
-    return [found[k] for k in sorted(found)]
+    """All subgroups as frozensets of canonical coordinates, Hermite-sorted.
+
+    Every subgroup is a sum of cyclic subgroups, so the lattice grows from
+    {0}: each cyclic subgroup C is joined onto each newly found subgroup S as
+    the set S + C, unless C already lies in S.  Canonical coordinates are
+    unique residues, so a frozenset names its subgroup and deduplicates by
+    itself; the Hermite key is computed once per subgroup, only to sort.
+    """
+    add = model.add
+    cyclic = {_cyclic(model, g) for g in model.elements()}
+    found = {frozenset([model.zero()])}
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for s in frontier:
+            for c in cyclic:
+                if c <= s:
+                    continue
+                joined = frozenset(add(a, b) for a in s for b in c)
+                if joined not in found:
+                    found.add(joined)
+                    grown.append(joined)
+        frontier = grown
+    return sorted(found, key=lambda sub: subgroup_key(model, sub))
 
 
 def subgroup_presentation(model: FiniteModel, elements):

@@ -23,7 +23,6 @@ from .exactlin import (
     free_group,
     hom_kernel,
     identity_hom,
-    subgroup_key,
     subgroup_presentation,
     zero_group,
     zero_hom,
@@ -331,6 +330,8 @@ def enumerate_subfunctors(m: MackeyFunctor):
     """All subfunctors of a finite Mackey functor, in Hermite-key order.
 
     Pairs of subgroups closed under transfer, restriction and the action.
+    Both subgroup lists come Hermite-sorted, so walking top x bottom yields
+    the subfunctors in (top key, bottom key) order.
     """
     if not m.levels_finite():
         raise InfiniteGroup("subfunctor enumeration requires finite levels")
@@ -348,12 +349,6 @@ def enumerate_subfunctors(m: MackeyFunctor):
             if not _stable_under(bm, bs, m.weyl.matrix, bm, bs):
                 continue
             out.append(_subfunctor_from_subgroups(m, tm, bm, ts, bs))
-    out.sort(
-        key=lambda s: (
-            subgroup_key(tm, s.top_elements),
-            subgroup_key(bm, s.bottom_elements),
-        )
-    )
     return out
 
 

@@ -3,15 +3,12 @@ import re
 import pytest
 
 from mackeybox.boxtensor import (
-    BilinearPairing,
     box,
     box_many,
     box_map,
     box_power,
     burnside_action_pairing,
     collapse_single,
-    contract_by_assignment,
-    contract_pair,
     invert_iso,
     map_from_pairing,
     nested_to_flat,
@@ -22,7 +19,7 @@ from mackeybox.boxtensor import (
     unitor,
 )
 from mackeybox.errors import IncompatiblePairing, PrimeMismatch, SizeLimit
-from mackeybox.exactlin import AbHom, FGAbPresentation, cyclic_group, identity_hom
+from mackeybox.exactlin import AbHom, FGAbPresentation, cyclic_group
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     burnside,

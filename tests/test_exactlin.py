@@ -1,7 +1,9 @@
 import math
+from dataclasses import FrozenInstanceError
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
@@ -23,6 +25,7 @@ from mackeybox.exactlin import (
     present_quotient,
     quotient_by_subgroup,
     solve_membership,
+    subgroup_key,
     tensor,
     zero_group,
     zero_hom,
@@ -362,6 +365,104 @@ def test_enumeration_deterministic():
     a = enumerate_subgroups(m)
     b = enumerate_subgroups(m)
     assert a == b
+
+
+def brute_force_subgroups(model):
+    """Oracle: close every set of at most r elements, r the number of
+    nontrivial cyclic factors (enough generators for any subgroup), and sort
+    the distinct closures by Hermite key."""
+    def closure(gens):
+        seen = {model.zero()}
+        frontier = [model.zero()]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = model.add(cur, g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return frozenset(seen)
+
+    r = max(1, sum(1 for d in model.moduli if d > 1))
+    elems = model.elements()
+    subs = {closure(combo) for k in range(r + 1) for combo in combinations(elems, k)}
+    return sorted(subs, key=lambda sub: subgroup_key(model, sub))
+
+
+@st.composite
+def finite_presentations(draw):
+    """L @ diag(d) @ U with L, U unit triangular (off-diagonal -1..1): a
+    presentation of Z/d_1 x ... x Z/d_n, n = 1..3, of order at most 32."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    assume(math.prod(d) <= 32)
+    small = st.integers(-1, 1)
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(small) if j > i else 0 for j in range(n)] for i in range(n)]
+    return mixed_presentation(d, lower, upper)
+
+
+def mixed_presentation(d, lower, upper):
+    diag = IntMatrix([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
+    return FGAbPresentation(len(d), IntMatrix(lower) @ diag @ IntMatrix(upper))
+
+
+# rank 3 is rare among the drawn presentations: (Z/2)^3 and Z/2 x Z/4 x Z/4
+RANK3_EXAMPLES = [
+    mixed_presentation(
+        (2, 2, 2), [[1, 0, 0], [1, 1, 0], [0, -1, 1]], [[1, 1, -1], [0, 1, 1], [0, 0, 1]]
+    ),
+    mixed_presentation(
+        (2, 4, 4), [[1, 0, 0], [-1, 1, 0], [1, 1, 1]], [[1, 0, 1], [0, 1, -1], [0, 0, 1]]
+    ),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_presentations())
+@example(RANK3_EXAMPLES[0])
+@example(RANK3_EXAMPLES[1])
+def test_enumerate_subgroups_matches_brute_force(pres):
+    model = finite_model(pres)
+    assert enumerate_subgroups(model) == brute_force_subgroups(model)
+
+
+def gaussian_binomial(n, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (5, 2)])
+def test_elementary_abelian_subgroup_count(p, n):
+    # subgroups of (Z/p)^n are the F_p-subspaces: sum over k of [n choose k]_p
+    expected = sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+    m = finite_model(FGAbPresentation(n, IntMatrix.identity(n).scale(p)))
+    assert len(enumerate_subgroups(m)) == expected
+
+
+@pytest.mark.parametrize("a, b, count", [(2, 4, 8), (4, 4, 15)])
+def test_subgroup_counts_by_hand(a, b, count):
+    # Z/2 x Z/4: 0, three of order 2, three of order 4 (two cyclic and the
+    # 2-torsion), the whole group.
+    # Z/4 x Z/4: 0, three of order 2, seven of order 4 (six cyclic and the
+    # 2-torsion), three of order 8, the whole group.
+    m = finite_model(FGAbPresentation(2, IntMatrix([[a, 0], [0, b]])))
+    assert len(enumerate_subgroups(m)) == count
+
+
+def test_finite_model_shared_and_frozen():
+    a = FGAbPresentation(2, IntMatrix([[2, 0], [0, 4]]))
+    b = FGAbPresentation(2, IntMatrix([[2, 0], [0, 4]]))
+    h = hash(a)
+    model = finite_model(a)
+    assert finite_model(a) is model
+    assert a == b and hash(a) == h == hash(b)
+    assert {a: 1}[b] == 1
+    with pytest.raises(FrozenInstanceError):
+        model.moduli = (2, 2)
 
 
 def test_direct_sum_blocks():

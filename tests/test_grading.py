@@ -1,11 +1,10 @@
 import pytest
 
-from mackeybox.errors import InfiniteGroup, UnclassifiedField
+from mackeybox.errors import UnclassifiedField
 from mackeybox.grading import (
     BoxWindow,
     GradedMackey,
     RODegree,
-    RhoLineWindow,
     em_homotopy,
     em_tower,
     graded_box,
@@ -17,7 +16,6 @@ from mackeybox.green import (
     burnside_green,
     classify_field_shape,
     constant_green,
-    f4_frobenius_green,
     field_top_green,
 )
 from mackeybox.mackey import canonical_levels, j_bottom

@@ -1,24 +1,14 @@
 import pytest
 
-from mackeybox.errors import (
-    InfiniteGroup,
-    NotAModule,
-    NotCommutative,
-    UnclassifiableShape,
-    ZeroFunctor,
-)
-from mackeybox.exactlin import cyclic_group
+from mackeybox.errors import InfiniteGroup, NotAModule, ZeroFunctor
+from mackeybox.exactlin import AbHom
 from mackeybox.green import (
-    FieldShape,
-    GreenFunctor,
-    GreenModule,
     TwistedModule,
     burnside_green,
     classify_field_shape,
     constant_green,
     f4_frobenius_green,
     field_top_green,
-    fixed_point_green,
     green_from_mult,
     is_ideal,
     is_mackey_field,
@@ -28,9 +18,7 @@ from mackeybox.green import (
     validate_green,
 )
 from mackeybox.intlinalg import IntMatrix
-from mackeybox.mackey import canonical_levels, constant, enumerate_subfunctors, j_top, zero_mackey
-from mackeybox.exactlin import FGAbPresentation
-from mackeybox.exactlin import AbHom
+from mackeybox.mackey import canonical_levels, constant, enumerate_subfunctors, zero_mackey
 
 
 def test_burnside_green_validates():

@@ -5,14 +5,15 @@ from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
     cyclic_group,
+    finite_model,
     free_group,
     identity_hom,
+    subgroup_key,
 )
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     MackeyChainComplex,
     MackeyFunctor,
-    MackeyMap,
     burnside,
     canonical_levels,
     constant,
@@ -21,6 +22,7 @@ from mackeybox.mackey import (
     identity_map,
     j_bottom,
     j_top,
+    mackey_direct_sum,
     validate_mackey,
     zero_mackey,
     zero_map,
@@ -206,6 +208,27 @@ def test_subfunctors_closed_under_intersection():
                 s1.bottom_elements & s2.bottom_elements,
             )
             assert inter in keys
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        constant(2, 4),
+        constant(3, 9),
+        j_bottom(2, F4, FROBENIUS),
+        # top and bottom keys of its subfunctors rise in different orders
+        mackey_direct_sum(constant(2, 2), constant(2, 2))[0],
+    ],
+    ids=["constant-2-4", "constant-3-9", "j_bottom-F4", "constant-2-2-squared"],
+)
+def test_subfunctors_in_strict_key_order(m):
+    tm, bm = finite_model(m.top), finite_model(m.bottom)
+    keys = [
+        (subgroup_key(tm, s.top_elements), subgroup_key(bm, s.bottom_elements))
+        for s in enumerate_subfunctors(m)
+    ]
+    assert len(keys) > 2
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_subfunctors_require_finite():
