@@ -12,20 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .boxtensor import box
 from .errors import InfiniteGroup, UnclassifiedField, WindowOverflow
 from .exactlin import finite_model
 from .green import (
     FieldShape,
     GreenFunctor,
-    _bilinear_vec,
+    _left_products,
     ideal_generated_by,
     subgroup_is_full,
     subgroup_is_zero,
 )
+from .intlinalg import IntMatrix
 from .mackey import (
     MackeyFunctor,
-    Subfunctor,
     enumerate_subfunctors,
+    first_escape,
     j_bottom,
     mackey_direct_sum,
     zero_mackey,
@@ -281,37 +283,25 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
 
 
 def _graded_choice_is_ideal(tower, choice, in_window):
+    """Whether the ring piece at d1 times ``choice[d2]`` lands in
+    ``choice[d1 + d2]`` for every pair of degrees in the window.
+
+    As in ``green.is_ideal``, multiplying by the generators of the ring
+    piece suffices, and each product map is looked up in the element sets.
+    """
     for (d1, d2), s in in_window.items():
         pairing = tower.pairings[(d1, d2)]
-        ring_piece = tower.pieces[d1]
-        sub = choice[d2]
-        target_sub = choice[s]
-        if not _action_lands_in(ring_piece, pairing, sub, target_sub):
-            return False
-    return True
-
-
-def _action_lands_in(ring_piece, pairing, sub: Subfunctor, target: Subfunctor):
-    from .exactlin import solve_membership
-
-    tm = finite_model(ring_piece.top)
-    bm = finite_model(ring_piece.bottom)
-    sub_tm = finite_model(sub.parent.top)
-    sub_bm = finite_model(sub.parent.bottom)
-    for r in tm.elements():
-        rv = tm.from_canonical(r)
-        for s in sorted(sub.top_elements):
-            sv = sub_tm.from_canonical(s)
-            prod = _bilinear_vec(pairing.f_top.matrix, rv, sv)
-            if solve_membership(target.parent.top, target.include.f_top.matrix, prod) is None:
-                return False
-    for r in bm.elements():
-        rv = bm.from_canonical(r)
-        for s in sorted(sub.bottom_elements):
-            sv = sub_bm.from_canonical(s)
-            prod = _bilinear_vec(pairing.f_bot.matrix, rv, sv)
-            if solve_membership(target.parent.bottom, target.include.f_bot.matrix, prod) is None:
-                return False
+        ring, sub, target = tower.pieces[d1], choice[d2], choice[s]
+        for mult, ring_level, level, elements, target_level, target_elements in (
+            (pairing.f_top.matrix, ring.top, sub.parent.top, sub.top_elements,
+             target.parent.top, target.top_elements),
+            (pairing.f_bot.matrix, ring.bottom, sub.parent.bottom, sub.bottom_elements,
+             target.parent.bottom, target.bottom_elements),
+        ):
+            model, target_model = finite_model(level), finite_model(target_level)
+            for action in _left_products(mult, ring_level.num_generators, level.num_generators):
+                if first_escape(action, model, elements, target_model, target_elements) is not None:
+                    return False
     return True
 
 
@@ -327,12 +317,8 @@ def _witness_probe(tower: GradedGreenTower, degrees):
     deg = degrees[0]
     piece = tower.pieces[deg]
     pairing = tower.pairings[(deg, deg)]
-    candidates = []
-    for j in range(piece.bottom.num_generators):
-        e = tuple(1 if k == j else 0 for k in range(piece.bottom.num_generators))
-        candidates.append(("top", piece.tr(e)))
-    for i in range(piece.top.num_generators):
-        candidates.append(("top", tuple(1 if k == i else 0 for k in range(piece.top.num_generators))))
+    candidates = [("top", piece.tr(e)) for e in IntMatrix.identity(piece.bottom.num_generators).rows]
+    candidates += [("top", e) for e in IntMatrix.identity(piece.top.num_generators).rows]
     for level, vec in candidates:
         top_rows, bot_rows = ideal_generated_by(piece, pairing, level, vec)
         top_zero = subgroup_is_zero(piece.top, top_rows)
@@ -374,8 +360,6 @@ MAX_GRADED_PIECES = 4096
 
 def graded_box(a: GradedMackey, b: GradedMackey, out_window=None, limit=None) -> GradedMackey:
     """Degreewise box product: piece at n is the sum over k + l = n."""
-    from .boxtensor import box
-
     assert a.prime == b.prime
     sums = {}
     for d1 in a.support():

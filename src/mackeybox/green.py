@@ -16,6 +16,7 @@ from .boxtensor import (
     BilinearPairing,
     box,
     box_many,
+    box_map,
     contract_pair,
     map_from_pairing,
     pairing_from_matrices,
@@ -33,11 +34,14 @@ from .errors import (
 from .exactlin import (
     AbHom,
     FGAbPresentation,
+    _apply,
     cyclic_group,
     finite_model,
     hom_kernel,
     identity_hom,
+    quotient_by_subgroup,
     solve_membership,
+    vector_tensor,
 )
 from .intlinalg import IntMatrix, hermite_row_basis
 from .mackey import (
@@ -49,6 +53,8 @@ from .mackey import (
     burnside,
     constant,
     enumerate_subfunctors,
+    first_escape,
+    identity_map,
     j_bottom,
     j_top,
     validate_mackey,
@@ -133,9 +139,6 @@ def validate_green(g: GreenFunctor) -> ValidationReport:
     # unitality: multiplying against the image of the unit is the unitor
     a = burnside(g.prime)
     bp_am = box(a, m)
-    from .boxtensor import box_map
-    from .mackey import identity_map
-
     unit_boxed = box_map(bp_am, bp2, [g.unit, identity_map(m)])
     via_mult = mult_map.compose(unit_boxed)
     u = unitor(m, bp_am)
@@ -217,11 +220,25 @@ def f4_frobenius_green() -> GreenFunctor:
 
 
 def _bilinear_vec(matrix, x, y):
-    from .exactlin import vector_tensor
+    return _apply(matrix, vector_tensor(x, y))
 
-    return tuple(
-        sum(m * v for m, v in zip(row, vector_tensor(x, y))) for row in matrix.rows
-    )
+
+def _left_products(matrix, n_left, n_right):
+    """The maps y -> e_i * y of a pairing matrix, one per left generator e_i.
+
+    Column i * n_right + j of the matrix is e_i * f_j, so each map is a
+    block of n_right consecutive columns.
+    """
+    return [
+        IntMatrix([row[i * n_right : (i + 1) * n_right] for row in matrix.rows], n_right)
+        for i in range(n_left)
+    ]
+
+
+def _right_products(matrix, n_left, n_right):
+    """The maps x -> x * f_j of a pairing matrix, one per right generator
+    f_j: every n_right-th column, starting at column j."""
+    return [IntMatrix([row[j::n_right] for row in matrix.rows], n_left) for j in range(n_right)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +262,6 @@ class GreenModule:
         # unit acts as the identity, through the unitor
         a = burnside(r.prime)
         bp_am = box(a, m)
-        from .boxtensor import box_map
-        from .mackey import identity_map
-
         via_unit = act.compose(box_map(bp_am, bp_rm, [self.ring.unit, identity_map(m)]))
         if not via_unit.equals(unitor(m, bp_am)):
             raise NotAModule("unit does not act as the identity")
@@ -333,34 +347,27 @@ def relative_box(left: GreenModule, right_carrier_module: GreenModule, limit=Non
 
 
 def is_ideal(g: GreenFunctor, sub: Subfunctor):
-    """(flag, witness string); two-sided by default, commutative rings make
-    the sides coincide."""
-    m = g.underlying
-    tm = finite_model(m.top)
-    bm = finite_model(m.bottom)
-    top_elems = [tm.from_canonical(c) for c in sorted(sub.top_elements)]
-    bot_elems = [bm.from_canonical(c) for c in sorted(sub.bottom_elements)]
-    top_ring = [tm.from_canonical(c) for c in tm.elements()]
-    bot_ring = [bm.from_canonical(c) for c in bm.elements()]
-    incl_top = sub.include.f_top.matrix
-    incl_bot = sub.include.f_bot.matrix
+    """(flag, witness string): whether ``sub`` is a two-sided ideal of ``g``.
 
-    for r in top_ring:
-        for s in top_elems:
-            for prod in (
-                _bilinear_vec(g.mult.f_top.matrix, r, s),
-                _bilinear_vec(g.mult.f_top.matrix, s, r),
-            ):
-                if solve_membership(m.top, incl_top, prod) is None:
-                    return False, f"top product {list(prod)} escapes the subfunctor"
-    for r in bot_ring:
-        for s in bot_elems:
-            for prod in (
-                _bilinear_vec(g.mult.f_bot.matrix, r, s),
-                _bilinear_vec(g.mult.f_bot.matrix, s, r),
-            ):
-                if solve_membership(m.bottom, incl_bot, prod) is None:
-                    return False, f"bottom product {list(prod)} escapes the subfunctor"
+    At each level, ``sub`` must be closed under x -> e_i * x and x -> x * e_i
+    for every generator e_i of that level of the ring.  The pairing is
+    bilinear and each level of ``sub`` is a subgroup, so this holds exactly
+    when every product of a ring element and an element of ``sub``, on
+    either side, lies in ``sub``.  Each such map is a column slice of the
+    pairing matrix, and its images are looked up in the element sets of
+    ``sub``; no presentation of ``sub`` is built.
+    """
+    m = g.underlying
+    for level, pres, mult, elements in (
+        ("top", m.top, g.mult.f_top.matrix, sub.top_elements),
+        ("bottom", m.bottom, g.mult.f_bot.matrix, sub.bottom_elements),
+    ):
+        model = finite_model(pres)
+        n = pres.num_generators
+        for action in _left_products(mult, n, n) + _right_products(mult, n, n):
+            prod = first_escape(action, model, elements, model, elements)
+            if prod is not None:
+                return False, f"{level} product {list(prod)} escapes the subfunctor"
     return True, ""
 
 
@@ -509,14 +516,8 @@ def ideal_generated_by(m: MackeyFunctor, mult: BilinearPairing, level, element_v
     """
     top_gens = [tuple(element_vec)] if level == "top" else []
     bot_gens = [tuple(element_vec)] if level == "bottom" else []
-    ring_top = [
-        tuple(1 if i == j else 0 for j in range(m.top.num_generators))
-        for i in range(m.top.num_generators)
-    ]
-    ring_bot = [
-        tuple(1 if i == j else 0 for j in range(m.bottom.num_generators))
-        for i in range(m.bottom.num_generators)
-    ]
+    ring_top = IntMatrix.identity(m.top.num_generators).rows
+    ring_bot = IntMatrix.identity(m.bottom.num_generators).rows
 
     def key(rows, pres):
         return hermite_row_basis(list(rows) + list(pres.relations.rows), pres.num_generators)
@@ -542,12 +543,8 @@ def ideal_generated_by(m: MackeyFunctor, mult: BilinearPairing, level, element_v
 
 
 def subgroup_is_full(pres, rows):
-    for i in range(pres.num_generators):
-        e = tuple(1 if k == i else 0 for k in range(pres.num_generators))
-        mat = IntMatrix(rows, pres.num_generators)
-        if solve_membership(pres, mat.transpose(), e) is None:
-            return False
-    return True
+    """True when the given element rows generate the whole group."""
+    return quotient_by_subgroup(pres, rows)[0].is_zero_group()
 
 
 def subgroup_is_zero(pres, rows):

@@ -10,17 +10,20 @@ restriction absorb the action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InfiniteGroup, NotAComplex, NotAnAction, NotPrime
 from .exactlin import (
     AbHom,
     FGAbPresentation,
+    _apply,
     cyclic_group,
     direct_sum,
     enumerate_subgroups,
     factor_through_injection,
     finite_model,
     free_group,
+    hom_cokernel,
     hom_kernel,
     identity_hom,
     subgroup_presentation,
@@ -183,8 +186,6 @@ class MackeyMap:
             k, _ = hom_kernel(f)
             if not k.is_zero_group():
                 return False
-            from .exactlin import hom_cokernel
-
             c, _ = hom_cokernel(f)
             if not c.is_zero_group():
                 return False
@@ -301,11 +302,33 @@ def mackey_direct_sum(a: MackeyFunctor, b: MackeyFunctor):
 
 @dataclass(frozen=True)
 class Subfunctor:
+    """A subfunctor of ``parent``, held as its element sets.
+
+    ``top_elements`` and ``bottom_elements`` are canonical coordinates in the
+    parent's finite models.  Closure tests and ideal tests read only these
+    sets; the presented subfunctor and its inclusion are built on first use
+    of ``include`` or ``functor`` and then kept.
+    """
+
     parent: MackeyFunctor
-    functor: MackeyFunctor
-    include: MackeyMap
-    top_elements: frozenset  # canonical coordinates in the parent's finite model
+    top_elements: frozenset
     bottom_elements: frozenset
+
+    @cached_property
+    def include(self) -> MackeyMap:
+        """The inclusion of the presented subfunctor into ``parent``."""
+        m = self.parent
+        s_top, incl_top = subgroup_presentation(finite_model(m.top), self.top_elements)
+        s_bot, incl_bot = subgroup_presentation(finite_model(m.bottom), self.bottom_elements)
+        tr = factor_through_injection(m.tr.compose(incl_bot), incl_top)
+        res = factor_through_injection(m.res.compose(incl_top), incl_bot)
+        weyl = factor_through_injection(m.weyl.compose(incl_bot), incl_bot)
+        sub = MackeyFunctor(m.prime, s_top, s_bot, tr, res, weyl)
+        return MackeyMap(sub, m, incl_top, incl_bot)
+
+    @property
+    def functor(self) -> MackeyFunctor:
+        return self.include.source
 
     def is_full(self):
         parent = self.parent
@@ -317,13 +340,15 @@ class Subfunctor:
         return len(self.top_elements) == 1 and len(self.bottom_elements) == 1
 
 
-def _stable_under(model, elements, hom_matrix, target_model, target_elements):
-    for c in elements:
-        vec = model.from_canonical(c)
-        img = tuple(sum(m * v for m, v in zip(row, vec)) for row in hom_matrix.rows)
+def first_escape(matrix: IntMatrix, model, elements, target_model, target_elements):
+    """The first image ``matrix @ x``, x in ``elements`` (canonical
+    coordinates in ``model``) in sorted order, whose canonical coordinates in
+    ``target_model`` are not in ``target_elements``; None if there is none."""
+    for c in sorted(elements):
+        img = _apply(matrix, model.from_canonical(c))
         if target_model.to_canonical(img) not in target_elements:
-            return False
-    return True
+            return img
+    return None
 
 
 def enumerate_subfunctors(m: MackeyFunctor):
@@ -342,25 +367,14 @@ def enumerate_subfunctors(m: MackeyFunctor):
     out = []
     for ts in top_subs:
         for bs in bot_subs:
-            if not _stable_under(tm, ts, m.res.matrix, bm, bs):
+            if first_escape(m.res.matrix, tm, ts, bm, bs) is not None:
                 continue
-            if not _stable_under(bm, bs, m.tr.matrix, tm, ts):
+            if first_escape(m.tr.matrix, bm, bs, tm, ts) is not None:
                 continue
-            if not _stable_under(bm, bs, m.weyl.matrix, bm, bs):
+            if first_escape(m.weyl.matrix, bm, bs, bm, bs) is not None:
                 continue
-            out.append(_subfunctor_from_subgroups(m, tm, bm, ts, bs))
+            out.append(Subfunctor(m, ts, bs))
     return out
-
-
-def _subfunctor_from_subgroups(m, tm, bm, top_set, bot_set):
-    s_top, incl_top = subgroup_presentation(tm, top_set)
-    s_bot, incl_bot = subgroup_presentation(bm, bot_set)
-    tr = factor_through_injection(m.tr.compose(incl_bot), incl_top)
-    res = factor_through_injection(m.res.compose(incl_top), incl_bot)
-    weyl = factor_through_injection(m.weyl.compose(incl_bot), incl_bot)
-    sub = MackeyFunctor(m.prime, s_top, s_bot, tr, res, weyl)
-    incl = MackeyMap(sub, m, incl_top, incl_bot)
-    return Subfunctor(m, sub, incl, frozenset(top_set), frozenset(bot_set))
 
 
 # ---------------------------------------------------------------------------

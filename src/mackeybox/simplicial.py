@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .boxtensor import box_power, contract_by_assignment
 from .errors import (
     InsufficientTruncation,
     NotEquivariant,
     NotFreeAction,
     NotInjective,
 )
+from .mackey import identity_map
 
 
 @dataclass
@@ -814,8 +816,6 @@ class SimplicialMackey:
                     if i < j:
                         rhs = s[(n - 1, j - 1)].compose(f[(n, i)]) if n >= 1 else None
                     elif i in (j, j + 1):
-                        from .mackey import identity_map
-
                         rhs = identity_map(self.levels[n].result)
                     else:
                         rhs = s[(n - 1, j)].compose(f[(n, i - 1)]) if n >= 1 else None
@@ -853,8 +853,6 @@ def tensor_green_with_circle(green, circle: SimplicialGSet, truncation) -> Simpl
     degeneracy maps are read off the orbit structure of the circle, with
     the action twist appearing where a face crosses the rotation seam.
     """
-    from .boxtensor import box_power, contract_by_assignment
-
     if not circle.action_is_free():
         raise NotFreeAction("the circle model must carry a free action")
     if circle.truncation < truncation:

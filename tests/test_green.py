@@ -1,7 +1,16 @@
 import pytest
 
 from mackeybox.errors import InfiniteGroup, NotAModule, ZeroFunctor
-from mackeybox.exactlin import AbHom
+from mackeybox.exactlin import (
+    AbHom,
+    FGAbPresentation,
+    cyclic_group,
+    finite_model,
+    free_group,
+    identity_hom,
+    solve_membership,
+    zero_group,
+)
 from mackeybox.green import (
     TwistedModule,
     burnside_green,
@@ -9,11 +18,13 @@ from mackeybox.green import (
     constant_green,
     f4_frobenius_green,
     field_top_green,
+    fixed_point_green,
     green_from_mult,
     is_ideal,
     is_mackey_field,
     relative_box,
     self_module,
+    subgroup_is_full,
     top_level_is_field,
     validate_green,
 )
@@ -74,6 +85,101 @@ def test_constant_f2_ideal_matches_hand_example():
     # the ideal has nothing at the fixed orbit and everything below
     assert canonical_levels(w.functor) == ((0, ()), (0, (2,)))
     assert is_ideal(g, w)[0]
+
+
+def upper_triangular_f2_green():
+    """Upper-triangular 2x2 matrices over F_2 on (E11, E12, E22), with the
+    trivial C_2 action: a Green functor that is not commutative."""
+    v = FGAbPresentation(3, IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    products = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (1, 2): (0, 1, 0), (2, 2): (0, 0, 1)}
+    cols = [products.get((i, j), (0, 0, 0)) for i in range(3) for j in range(3)]
+    return fixed_point_green(2, v, identity_hom(v), IntMatrix.from_columns(cols, 3), (1, 0, 1))
+
+
+def escaping_sides(g, sub):
+    """Brute-force oracle: the sides ("left" for r * s, "right" for s * r)
+    on which some ring element r times some element s of ``sub`` falls
+    outside ``sub``, decided by solve_membership against ``sub.include``."""
+    m = g.underlying
+    sides = set()
+    for pres, mult, elements, incl in (
+        (m.top, g.mult.f_top.matrix, sub.top_elements, sub.include.f_top.matrix),
+        (m.bottom, g.mult.f_bot.matrix, sub.bottom_elements, sub.include.f_bot.matrix),
+    ):
+        model = finite_model(pres)
+        n = pres.num_generators
+        ring = [model.from_canonical(c) for c in model.elements()]
+        inside = [model.from_canonical(c) for c in elements]
+
+        def product(x, y):
+            return tuple(
+                sum(row[i * n + j] * x[i] * y[j] for i in range(n) for j in range(n))
+                for row in mult.rows
+            )
+
+        for r in ring:
+            for s in inside:
+                if solve_membership(pres, incl, product(r, s)) is None:
+                    sides.add("left")
+                if solve_membership(pres, incl, product(s, r)) is None:
+                    sides.add("right")
+    return sides
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        constant_green(2, 2),
+        constant_green(2, 4),
+        constant_green(3, 9),
+        f4_frobenius_green(),
+        field_top_green(2, 2),
+        upper_triangular_f2_green(),
+    ],
+    ids=["constant-2-2", "constant-2-4", "constant-3-9", "f4", "field-top-2-2", "upper-triangular"],
+)
+def test_is_ideal_matches_brute_force(g):
+    for sub in enumerate_subfunctors(g.underlying):
+        assert is_ideal(g, sub)[0] == (not escaping_sides(g, sub)), sub
+
+
+def test_is_ideal_checks_right_multiplication():
+    g = upper_triangular_f2_green()
+    assert [c.name for c in validate_green(g).failures()] == ["commutativity"]
+    m = g.underlying
+    bm = finite_model(m.bottom)
+    e11 = frozenset({bm.zero(), bm.to_canonical((1, 0, 0))})
+    [sub] = [
+        s
+        for s in enumerate_subfunctors(m)
+        if s.bottom_elements == e11 and len(s.top_elements) == 2
+    ]
+    # span{E11} is a left ideal but not a right one: E11 * E12 = E12
+    assert escaping_sides(g, sub) == {"right"}
+    flag, witness = is_ideal(g, sub)
+    assert not flag
+    assert witness.endswith("escapes the subfunctor")
+
+
+Z_PLUS_Z2 = FGAbPresentation(2, IntMatrix([[0, 2]]))
+
+
+@pytest.mark.parametrize(
+    "pres, rows, full",
+    [
+        (free_group(1), [[2]], False),
+        (free_group(1), [[2], [3]], True),
+        (cyclic_group(4), [[3]], True),
+        (cyclic_group(4), [[2]], False),
+        (Z_PLUS_Z2, [[1, 1]], False),
+        (Z_PLUS_Z2, [[1, 1], [0, 1]], True),
+        (cyclic_group(3), [], False),
+        (cyclic_group(6), [[2], [3]], True),
+        (zero_group(), [], True),
+    ],
+)
+def test_subgroup_is_full_by_hand(pres, rows, full):
+    assert subgroup_is_full(pres, rows) == full
 
 
 def test_constant_f2_not_field_with_witness():

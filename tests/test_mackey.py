@@ -10,6 +10,7 @@ from mackeybox.exactlin import (
     identity_hom,
     subgroup_key,
 )
+from mackeybox import mackey
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     MackeyChainComplex,
@@ -229,6 +230,41 @@ def test_subfunctors_in_strict_key_order(m):
     ]
     assert len(keys) > 2
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_subfunctors_stable_under_action():
+    # cyclic shift of (Z/2)^3 over C_3: the line spanned by e1 + e2 is closed
+    # under res and tr (T = 0, tr(e1 + e2) = 0) but not under the action
+    v = FGAbPresentation(3, IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    shift = AbHom(v, v, IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    subs = enumerate_subfunctors(j_bottom(3, v, shift))
+    # hand count: (0, 0), (0, sum-zero plane), (fixed, span(e1+e2+e3)), (fixed, all)
+    assert sorted((len(s.top_elements), len(s.bottom_elements)) for s in subs) == [
+        (1, 1),
+        (1, 4),
+        (2, 2),
+        (2, 8),
+    ]
+
+
+def test_subfunctors_built_lazily(monkeypatch):
+    calls = []
+    build = mackey.subgroup_presentation
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(mackey, "subgroup_presentation", counted)
+    subs = enumerate_subfunctors(j_bottom(2, F4, FROBENIUS))
+    assert len(subs) > 2
+    assert calls == []
+    sub = subs[1]
+    functor = sub.functor
+    assert len(calls) == 2  # one presentation per level
+    assert sub.include.source is functor
+    assert sub.functor is functor
+    assert len(calls) == 2
 
 
 def test_subfunctors_require_finite():
