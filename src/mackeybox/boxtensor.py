@@ -29,7 +29,7 @@ from .exactlin import (
     vector_tensor,
 )
 from .intlinalg import IntMatrix
-from .mackey import MackeyFunctor, MackeyMap, burnside, validate_mackey
+from .mackey import MackeyFunctor, MackeyMap, burnside, orbit_sum, validate_mackey
 
 DEFAULT_GENERATOR_LIMIT = 20000
 
@@ -67,7 +67,7 @@ class BoxProduct:
 def _tensor_many(presentations):
     t = presentations[0]
     for nxt in presentations[1:]:
-        t, _ = tensor(t, nxt)
+        t = tensor(t, nxt)
     return t
 
 
@@ -165,15 +165,10 @@ def box_many(factors, limit=None):
     # transfer: inclusion of the transfer-class block
     tr_mat = IntMatrix.zeros(n_pure, n_tr).vstack(IntMatrix.identity(n_tr))
     # restriction: pure part restricts slotwise, classes restrict to orbit sums
-    orbit_sum = IntMatrix.identity(n_tr)
-    acc = IntMatrix.identity(n_tr)
-    for _ in range(p - 1):
-        acc = diag_weyl_mat @ acc
-        orbit_sum = orbit_sum + acc
     res_pure = factors[0].res.matrix
     for f in factors[1:]:
         res_pure = res_pure.kron(f.res.matrix)
-    res_mat = res_pure.hstack(orbit_sum)
+    res_mat = res_pure.hstack(orbit_sum(diag_weyl_mat, p))
 
     result = MackeyFunctor(
         p,
@@ -226,7 +221,7 @@ class BilinearPairing:
         )
         if not lhs.equals(rhs):
             bad.append(1)
-        mixed1 = _tensor_pres(m.bottom, n.top)
+        mixed1 = tensor(m.bottom, n.top)
         lhs1 = AbHom(
             mixed1, L.top, self.f_top.matrix @ m.tr.matrix.kron(IntMatrix.identity(n.top.num_generators))
         )
@@ -239,7 +234,7 @@ class BilinearPairing:
         )
         if not lhs1.equals(rhs1):
             bad.append(2)
-        mixed2 = _tensor_pres(m.top, n.bottom)
+        mixed2 = tensor(m.top, n.bottom)
         lhs2 = AbHom(
             mixed2, L.top, self.f_top.matrix @ IntMatrix.identity(m.top.num_generators).kron(n.tr.matrix)
         )
@@ -265,14 +260,9 @@ class BilinearPairing:
             raise IncompatiblePairing(bad[0], f"violations: {bad}")
 
 
-def _tensor_pres(a, b):
-    t, _ = tensor(a, b)
-    return t
-
-
 def pairing_from_matrices(m, n, target, top_matrix, bot_matrix):
-    ft = AbHom(_tensor_pres(m.top, n.top), target.top, top_matrix)
-    fb = AbHom(_tensor_pres(m.bottom, n.bottom), target.bottom, bot_matrix)
+    ft = AbHom(tensor(m.top, n.top), target.top, top_matrix)
+    fb = AbHom(tensor(m.bottom, n.bottom), target.bottom, bot_matrix)
     return BilinearPairing(m, n, target, ft, fb)
 
 

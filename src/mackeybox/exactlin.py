@@ -330,43 +330,29 @@ def direct_sum(a: FGAbPresentation, b: FGAbPresentation):
     return s, ia, ib, pa, pb
 
 
-class TensorIndex:
-    """Bijection between generator pairs (i, j) and generators of A (x) B."""
-
-    def __init__(self, n_left, n_right):
-        self.n_left = n_left
-        self.n_right = n_right
-
-    def __call__(self, i, j):
-        return i * self.n_right + j
-
-    def size(self):
-        return self.n_left * self.n_right
-
-
-def tensor(a: FGAbPresentation, b: FGAbPresentation):
-    """(T, index) presenting A (x) B on generator pairs."""
+def tensor(a: FGAbPresentation, b: FGAbPresentation) -> FGAbPresentation:
+    """A (x) B presented on generator pairs: pair (i, j) is generator
+    i * b.num_generators + j, and each relation of either factor is
+    tensored with every generator of the other."""
     na, nb = a.num_generators, b.num_generators
-    idx = TensorIndex(na, nb)
     rows = []
     for rel in a.relations.rows:
         for j in range(nb):
             row = [0] * (na * nb)
             for i in range(na):
-                row[idx(i, j)] = rel[i]
+                row[i * nb + j] = rel[i]
             rows.append(row)
     for rel in b.relations.rows:
         for i in range(na):
             row = [0] * (na * nb)
             for j in range(nb):
-                row[idx(i, j)] = rel[j]
+                row[i * nb + j] = rel[j]
             rows.append(row)
-    t = FGAbPresentation(na * nb, IntMatrix(rows, na * nb))
-    return t, idx
+    return FGAbPresentation(na * nb, IntMatrix(rows, na * nb))
 
 
 def vector_tensor(x, y):
-    """Coordinates of x (x) y under the TensorIndex convention."""
+    """Coordinates of x (x) y on the generator pairs of ``tensor``."""
     return tuple(a * b for a in x for b in y)
 
 

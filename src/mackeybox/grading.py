@@ -250,58 +250,63 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     if infinite:
         return _witness_probe(tower, degrees)
 
-    lattices = {d: enumerate_subfunctors(tower.pieces[d]) for d in degrees}
+    lattices = [enumerate_subfunctors(tower.pieces[d]) for d in degrees]
     total = 1
-    for d in degrees:
-        total *= len(lattices[d])
+    for lattice in lattices:
+        total *= len(lattice)
         if total > MAX_GRADED_COMBINATIONS:
             raise WindowOverflow("graded subfunctor lattice too large for the window")
 
-    in_window = {}
+    # One (position of d2, position of d1 + d2, table) per pair of degrees in
+    # the window; table[(i, k)] tells whether the ring piece at d1 times the
+    # i-th subfunctor at d2 lands in the k-th subfunctor at d1 + d2.
+    position = {d: n for n, d in enumerate(degrees)}
+    verdicts = []
     for d1 in degrees:
         for d2 in degrees:
             s = d1 + d2
             if s in tower.pieces and window.contains(s):
-                in_window[(d1, d2)] = s
+                ring, pairing = tower.pieces[d1], tower.pairings[(d1, d2)]
+                table = {
+                    (i, k): _products_land_in(pairing, ring, sub, target)
+                    for i, sub in enumerate(lattices[position[d2]])
+                    for k, target in enumerate(lattices[position[s]])
+                }
+                verdicts.append((position[d2], position[s], table))
 
-    for combo in iproduct(*(range(len(lattices[d])) for d in degrees)):
-        choice = {d: lattices[d][i] for d, i in zip(degrees, combo)}
-        if all(s.is_zero() for s in choice.values()):
+    for combo in iproduct(*(range(len(lattice)) for lattice in lattices)):
+        choice = [lattice[i] for lattice, i in zip(lattices, combo)]
+        if all(s.is_zero() for s in choice) or all(s.is_full() for s in choice):
             continue
-        if all(s.is_full() for s in choice.values()):
-            continue
-        if _graded_choice_is_ideal(tower, choice, in_window):
+        if all(table[(combo[i], combo[k])] for i, k, table in verdicts):
             witness = {
                 d.key(): {
-                    "top": sorted(list(c) for c in choice[d].top_elements),
-                    "bottom": sorted(list(c) for c in choice[d].bottom_elements),
+                    "top": sorted(list(c) for c in sub.top_elements),
+                    "bottom": sorted(list(c) for c in sub.bottom_elements),
                 }
-                for d in degrees
+                for d, sub in zip(degrees, choice)
             }
             return PartialCertificate(True, "witness", witness)
     return PartialCertificate(True, "no_graded_ideal_in_window", None)
 
 
-def _graded_choice_is_ideal(tower, choice, in_window):
-    """Whether the ring piece at d1 times ``choice[d2]`` lands in
-    ``choice[d1 + d2]`` for every pair of degrees in the window.
+def _products_land_in(pairing, ring, sub, target):
+    """Whether ``pairing`` sends the ring piece ``ring`` times ``sub`` into
+    ``target``, at both levels.
 
     As in ``green.is_ideal``, multiplying by the generators of the ring
     piece suffices, and each product map is looked up in the element sets.
     """
-    for (d1, d2), s in in_window.items():
-        pairing = tower.pairings[(d1, d2)]
-        ring, sub, target = tower.pieces[d1], choice[d2], choice[s]
-        for mult, ring_level, level, elements, target_level, target_elements in (
-            (pairing.f_top.matrix, ring.top, sub.parent.top, sub.top_elements,
-             target.parent.top, target.top_elements),
-            (pairing.f_bot.matrix, ring.bottom, sub.parent.bottom, sub.bottom_elements,
-             target.parent.bottom, target.bottom_elements),
-        ):
-            model, target_model = finite_model(level), finite_model(target_level)
-            for action in _left_products(mult, ring_level.num_generators, level.num_generators):
-                if first_escape(action, model, elements, target_model, target_elements) is not None:
-                    return False
+    for mult, ring_level, level, elements, target_level, target_elements in (
+        (pairing.f_top.matrix, ring.top, sub.parent.top, sub.top_elements,
+         target.parent.top, target.top_elements),
+        (pairing.f_bot.matrix, ring.bottom, sub.parent.bottom, sub.bottom_elements,
+         target.parent.bottom, target.bottom_elements),
+    ):
+        model, target_model = finite_model(level), finite_model(target_level)
+        for action in _left_products(mult, ring_level.num_generators, level.num_generators):
+            if first_escape(action, model, elements, target_model, target_elements) is not None:
+                return False
     return True
 
 

@@ -63,15 +63,6 @@ class MackeyFunctor:
         assert self.res.source == self.top and self.res.target == self.bottom
         assert self.weyl.source == self.bottom and self.weyl.target == self.bottom
 
-    def weyl_orbit_sum(self):
-        """Sum of the powers weyl^i for 0 <= i < p."""
-        total = identity_hom(self.bottom)
-        acc = total
-        for _ in range(self.prime - 1):
-            acc = self.weyl.compose(acc)
-            total = total + acc
-        return total
-
     def is_zero(self):
         return self.top.is_zero_group() and self.bottom.is_zero_group()
 
@@ -116,21 +107,35 @@ class ValidationReport:
         }
 
 
-def _hom_eq_check(name, f, g):
-    diff = f.matrix - g.matrix
+def orbit_sum(gamma: IntMatrix, p):
+    """The sum of the powers gamma^i for 0 <= i < p."""
+    total = acc = IntMatrix.identity(gamma.nrows)
+    for _ in range(p - 1):
+        acc = gamma @ acc
+        total = total + acc
+    return total
+
+
+def _hom_eq_check(name, target: FGAbPresentation, f: IntMatrix, g: IntMatrix):
+    """Whether the matrices f and g agree modulo the relations of ``target``;
+    a failure names the first generator (column) on which they differ."""
+    diff = f - g
     for j in range(diff.ncols):
-        if not f.target.reduces_to_zero(diff.column(j)):
+        if not target.reduces_to_zero(diff.column(j)):
             return ValidationCheck(name, False, f"generator {j} maps to {list(diff.column(j))}")
     return ValidationCheck(name, True)
 
 
 def validate_mackey(m: MackeyFunctor) -> ValidationReport:
     """Check the four axioms; failures carry a witness generator."""
+    tr, res, weyl = m.tr.matrix, m.res.matrix, m.weyl.matrix
     checks = [
-        _hom_eq_check("weyl_order_p", m.weyl.power(m.prime), identity_hom(m.bottom)),
-        _hom_eq_check("res_tr_is_orbit_sum", m.res.compose(m.tr), m.weyl_orbit_sum()),
-        _hom_eq_check("tr_weyl_is_tr", m.tr.compose(m.weyl), m.tr),
-        _hom_eq_check("weyl_res_is_res", m.weyl.compose(m.res), m.res),
+        _hom_eq_check(
+            "weyl_order_p", m.bottom, weyl.power(m.prime), IntMatrix.identity(weyl.nrows)
+        ),
+        _hom_eq_check("res_tr_is_orbit_sum", m.bottom, res @ tr, orbit_sum(weyl, m.prime)),
+        _hom_eq_check("tr_weyl_is_tr", m.top, tr @ weyl, tr),
+        _hom_eq_check("weyl_res_is_res", m.bottom, weyl @ res, res),
     ]
     return ValidationReport(tuple(checks))
 
@@ -262,12 +267,7 @@ def j_bottom(p, v: FGAbPresentation, gamma: AbHom) -> MackeyFunctor:
     if not gamma.power(p).equals(identity_hom(v)):
         raise NotAnAction(f"gamma^{p} is not the identity")
     fixed, incl = hom_kernel(gamma - identity_hom(v))
-    orbit_sum = identity_hom(v)
-    acc = identity_hom(v)
-    for _ in range(p - 1):
-        acc = gamma.compose(acc)
-        orbit_sum = orbit_sum + acc
-    tr = factor_through_injection(orbit_sum, incl)
+    tr = factor_through_injection(AbHom(v, v, orbit_sum(gamma.matrix, p)), incl)
     weyl_fixed_check = gamma.compose(incl)
     assert weyl_fixed_check.equals(incl)
     return MackeyFunctor(p, fixed, v, tr, incl, gamma)

@@ -1,8 +1,11 @@
+from itertools import product as iproduct
+
 import pytest
 
 from mackeybox.errors import UnclassifiedField
 from mackeybox.grading import (
     BoxWindow,
+    GradedGreenTower,
     GradedMackey,
     RODegree,
     em_homotopy,
@@ -12,14 +15,16 @@ from mackeybox.grading import (
     rotating_sign,
     single_degree_tower,
 )
+from mackeybox.boxtensor import pairing_from_matrices
 from mackeybox.green import (
     burnside_green,
     classify_field_shape,
     constant_green,
+    f4_frobenius_green,
     field_top_green,
 )
-from mackeybox.mackey import canonical_levels, j_bottom
-from mackeybox.exactlin import AbHom, cyclic_group
+from mackeybox.mackey import canonical_levels, enumerate_subfunctors, j_bottom
+from mackeybox.exactlin import AbHom, cyclic_group, finite_model
 from mackeybox.intlinalg import IntMatrix
 
 
@@ -199,6 +204,105 @@ def test_graded_window_constant_f2_witness():
     window = BoxWindow(2, 0, 0)
     cert = graded_field_window_check(tower, window)
     assert cert.verdict == "witness"
+
+
+def laurent_f2_tower(degrees):
+    """Constant F_2 in each degree, any two pieces multiplied as in F_2."""
+    g = constant_green(2, 2)
+    return GradedGreenTower(
+        2,
+        {d: g.underlying for d in degrees},
+        {(d1, d2): g.mult for d1 in degrees for d2 in degrees},
+    )
+
+
+def f4_over_f2_tower():
+    """F_4 with the Frobenius (as a Mackey functor) at degree -1 over
+    constant F_2 at degree 0; the mixed pairings are scalar multiplication."""
+    c = constant_green(2, 2)
+    f4 = f4_frobenius_green().underlying
+    top = IntMatrix.identity(f4.top.num_generators)
+    bot = IntMatrix.identity(f4.bottom.num_generators)
+    d, zero = deg2(-1, 0), deg2(0, 0)
+    return GradedGreenTower(
+        2,
+        {d: f4, zero: c.underlying},
+        {
+            (zero, zero): c.mult,
+            (zero, d): pairing_from_matrices(c.underlying, f4, f4, top, bot),
+            (d, zero): pairing_from_matrices(f4, c.underlying, f4, top, bot),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [
+        laurent_f2_tower([deg2(0, 0), deg2(1, 0)]),
+        laurent_f2_tower([deg2(-1, 0), deg2(0, 0), deg2(1, 0)]),
+        f4_over_f2_tower(),
+    ],
+    ids=["laurent-0-1", "laurent-3", "f4-over-f2"],
+)
+def test_graded_window_witness_matches_brute_force(tower):
+    window = BoxWindow(2, 1, 0)
+    cert = graded_field_window_check(tower, window).to_json()
+    assert cert["verdict"] == "witness" and len(cert["witness"]) >= 2
+    assert cert == brute_force_window_check(tower, window)
+
+
+def brute_force_window_check(tower, window):
+    """Oracle for ``graded_field_window_check`` on finite towers: walks every
+    combination of subfunctors in the same order and multiplies every
+    element of each ring piece by every element of the chosen subfunctor."""
+    degrees = [d for d in window.degrees() if d in tower.pieces]
+    lattices = [enumerate_subfunctors(tower.pieces[d]) for d in degrees]
+    pairs = [
+        (d1, d2, d1 + d2)
+        for d1 in degrees
+        for d2 in degrees
+        if d1 + d2 in tower.pieces and window.contains(d1 + d2)
+    ]
+    for combo in iproduct(*lattices):
+        choice = dict(zip(degrees, combo))
+        if all(s.is_zero() for s in combo) or all(s.is_full() for s in combo):
+            continue
+        if all(products_land_in(tower, d1, d2, choice[d2], choice[d]) for d1, d2, d in pairs):
+            witness = {
+                d.key(): {
+                    "top": sorted(list(c) for c in choice[d].top_elements),
+                    "bottom": sorted(list(c) for c in choice[d].bottom_elements),
+                }
+                for d in degrees
+            }
+            return {"window_partial": True, "verdict": "witness", "witness": witness}
+    return {"window_partial": True, "verdict": "no_graded_ideal_in_window"}
+
+
+def products_land_in(tower, d1, d2, sub, target):
+    """Whether every ring element at d1 times every element of ``sub`` (at
+    d2) lies in ``target``, at both levels."""
+    ring, pairing = tower.pieces[d1], tower.pairings[(d1, d2)]
+    for mult, ring_pres, elements, target_elements, pres, target_pres in (
+        (pairing.f_top.matrix, ring.top, sub.top_elements, target.top_elements,
+         sub.parent.top, target.parent.top),
+        (pairing.f_bot.matrix, ring.bottom, sub.bottom_elements, target.bottom_elements,
+         sub.parent.bottom, target.parent.bottom),
+    ):
+        ring_model, model, target_model = (
+            finite_model(ring_pres), finite_model(pres), finite_model(target_pres)
+        )
+        for r in ring_model.elements():
+            x = ring_model.from_canonical(r)
+            for c in elements:
+                y = model.from_canonical(c)
+                terms = [
+                    (i * len(y) + j, xi * yj) for i, xi in enumerate(x) for j, yj in enumerate(y)
+                ]
+                prod = tuple(sum(row[col] * coef for col, coef in terms) for row in mult.rows)
+                if target_model.to_canonical(prod) not in target_elements:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

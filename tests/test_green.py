@@ -1,6 +1,17 @@
 import pytest
 
-from mackeybox.errors import InfiniteGroup, NotAModule, ZeroFunctor
+from mackeybox import boxtensor, grading, green, simplicial
+from mackeybox.boxtensor import (
+    box,
+    box_many,
+    box_map,
+    burnside_action_pairing,
+    contract_pair,
+    map_from_pairing,
+    swap_map,
+    unitor,
+)
+from mackeybox.errors import IncompatiblePairing, InfiniteGroup, NotAModule, ZeroFunctor
 from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
@@ -12,6 +23,7 @@ from mackeybox.exactlin import (
     zero_group,
 )
 from mackeybox.green import (
+    GreenModule,
     TwistedModule,
     burnside_green,
     classify_field_shape,
@@ -29,7 +41,15 @@ from mackeybox.green import (
     validate_green,
 )
 from mackeybox.intlinalg import IntMatrix
-from mackeybox.mackey import canonical_levels, constant, enumerate_subfunctors, zero_mackey
+from mackeybox.mackey import (
+    burnside,
+    canonical_levels,
+    constant,
+    enumerate_subfunctors,
+    identity_map,
+    validate_mackey,
+    zero_mackey,
+)
 
 
 def test_burnside_green_validates():
@@ -307,3 +327,163 @@ def test_relative_box_mismatched_rings():
     g2 = constant_green(2, 2)
     with pytest.raises(NotAModule):
         relative_box(self_module(g1), self_module(g2))
+
+
+# ---------------------------------------------------------------------------
+# the Green and module laws against their box-product formulation
+
+
+def box_product_failures(g):
+    """Oracle for the failure names of ``validate_green``: the laws stated as
+    equalities of Mackey maps out of box(M, M), box(M, M, M) and
+    box(Burnside, M), built on generator labels."""
+    failures = []
+    if g.mult.check():
+        failures.append("pairing_compatible")
+    if not validate_mackey(g.underlying).passed:
+        failures.append("underlying_axioms")
+    if failures:
+        return failures
+    m = g.underlying
+    bp2 = box(m, m)
+    mult_map = map_from_pairing(g.mult, bp2)
+    bp3 = box_many([m, m, m])
+    left = mult_map.compose(contract_pair(bp3, 0, g.mult, bp2))
+    right = mult_map.compose(contract_pair(bp3, 1, g.mult, bp2))
+    if not left.equals(right):
+        failures.append("associativity")
+    bp_am = box(burnside(g.prime), m)
+    via_unit = mult_map.compose(box_map(bp_am, bp2, [g.unit, identity_map(m)]))
+    if not via_unit.equals(unitor(m, bp_am)):
+        failures.append("unitality")
+    if not mult_map.compose(swap_map(bp2, bp2)).equals(mult_map):
+        failures.append("commutativity")
+    return failures
+
+
+def box_product_is_commutative(g):
+    bp = box(g.underlying, g.underlying)
+    mm = map_from_pairing(g.mult, bp)
+    return mm.compose(swap_map(bp, bp)).equals(mm)
+
+
+def box_product_module_error(module):
+    """Oracle for ``GreenModule.validate``: None when the box-product
+    formulation accepts the module, else the start of its NotAModule
+    message."""
+    if module.action.check():
+        return "action pairing violates conditions"
+    r, m = module.ring.underlying, module.carrier
+    bp_rm = box(r, m)
+    act = map_from_pairing(module.action, bp_rm)
+    bp_am = box(burnside(r.prime), m)
+    via_unit = act.compose(box_map(bp_am, bp_rm, [module.ring.unit, identity_map(m)]))
+    if not via_unit.equals(unitor(m, bp_am)):
+        return "unit does not act as the identity"
+    bp_rrm = box_many([r, r, m])
+    one = act.compose(contract_pair(bp_rrm, 0, module.ring.mult, bp_rm))
+    two = act.compose(contract_pair(bp_rrm, 1, module.action, bp_rm))
+    if not one.equals(two):
+        return "action is not associative over the ring"
+    return None
+
+
+def nonassociative_f2_green(one=(1, 0, 0)):
+    """The F_2 algebra on 1, x, y with xy = 1 and every other product of x
+    and y zero, under the trivial C_2 action: unital for one = 1, neither
+    associative ((xy)x = x but x(yx) = 0) nor commutative."""
+    v = FGAbPresentation(3, IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    products = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1),
+                (1, 0): (0, 1, 0), (2, 0): (0, 0, 1), (1, 2): (1, 0, 0)}
+    cols = [products.get((i, j), (0, 0, 0)) for i in range(3) for j in range(3)]
+    return fixed_point_green(2, v, identity_hom(v), IntMatrix.from_columns(cols, 3), one)
+
+
+def bottom_only_f2_green():
+    """F_2 x F_2 under the swap action with e1 e2 = e1, e2 e1 = e2 and
+    e1^2 = e2^2 = 0.  The fixed subring {0, e1 + e2} is F_2, so the top
+    level obeys every law, but the bottom level is neither associative nor
+    unital ((e1 + e2) e1 = e2) nor commutative."""
+    v = FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]]))
+    swap = AbHom(v, v, IntMatrix([[0, 1], [1, 0]]))
+    mult = IntMatrix.from_columns([(0, 0), (1, 0), (0, 1), (0, 0)], 2)
+    return fixed_point_green(2, v, swap, mult, (1, 1))
+
+
+ORACLE_CASES = {
+    "burnside-2": burnside_green(2),
+    "burnside-3": burnside_green(3),
+    "constant-2-0": constant_green(2, 0),
+    "constant-2-4": constant_green(2, 4),
+    "constant-3-9": constant_green(3, 9),
+    "field-top-2-2": field_top_green(2, 2),
+    "f4": f4_frobenius_green(),
+    "upper-triangular": upper_triangular_f2_green(),
+    "nonassociative": nonassociative_f2_green(),
+    "nonassociative-bad-one": nonassociative_f2_green(one=(0, 1, 0)),
+    "bottom-only": bottom_only_f2_green(),
+}
+
+
+@pytest.mark.parametrize("g", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
+def test_green_laws_match_box_product_oracle(g):
+    assert [c.name for c in validate_green(g).failures()] == box_product_failures(g)
+    assert g.is_commutative() == box_product_is_commutative(g)
+    expected = box_product_module_error(self_module(g))
+    if expected is None:
+        self_module(g).validate()
+    else:
+        with pytest.raises(NotAModule, match="^" + expected):
+            self_module(g).validate()
+
+
+def test_modules_match_box_product_oracle():
+    f4 = f4_frobenius_green()
+    modules = [TwistedModule(self_module(f4), 1).as_module()]
+    # the Burnside ring acting on functors other than itself
+    a = burnside_green(2)
+    for m in (constant(2, 4), f4.underlying):
+        modules.append(GreenModule(a, m, burnside_action_pairing(m)))
+    for module in modules:
+        assert box_product_module_error(module) is None
+        module.validate()
+
+
+def test_nonassociative_algebra_failures():
+    names = [c.name for c in validate_green(nonassociative_f2_green()).failures()]
+    assert names == ["associativity", "commutativity"]
+    bad_one = validate_green(nonassociative_f2_green(one=(0, 1, 0)))
+    assert [c.name for c in bad_one.failures()] == ["associativity", "unitality", "commutativity"]
+    witness = bad_one.failures()[0].witness
+    assert witness.startswith(("top generator", "bottom generator")) and "maps to" in witness
+
+
+def test_bottom_level_failures_are_found():
+    failures = validate_green(bottom_only_f2_green()).failures()
+    assert [c.name for c in failures] == ["associativity", "unitality", "commutativity"]
+    assert all(c.witness.startswith("bottom") for c in failures)
+
+
+def test_is_commutative_rejects_incompatible_pairing():
+    # res(1 * 1) = 1 at the top, but res(1) * res(1) = 2 at the bottom
+    g = green_from_mult(constant(2, 3), (1,), IntMatrix([[1]]), IntMatrix([[2]]))
+    with pytest.raises(IncompatiblePairing):
+        g.is_commutative()
+
+
+def test_green_checks_build_no_box_product(monkeypatch):
+    calls = []
+    original = boxtensor.box_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (boxtensor, green, grading, simplicial):
+        if getattr(module, "box_many", None) is original:
+            monkeypatch.setattr(module, "box_many", counted)
+    for g in (constant_green(2, 2), f4_frobenius_green(), upper_triangular_f2_green()):
+        validate_green(g)
+    assert is_mackey_field(f4_frobenius_green()).is_field
+    assert not is_mackey_field(constant_green(2, 2)).is_field
+    assert calls == []
