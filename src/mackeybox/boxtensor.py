@@ -11,7 +11,10 @@ any slot to the transfer class of its restriction.
 Every generator of the result carries a label (a pure tuple or a transfer
 class tuple).  Maps out of box products (permutations, twists, face and
 degeneracy contractions, pairings) are written down on labels and then
-checked to send relations to relations; nothing is trusted by fiat.
+checked, as data, to send relations to relations and to commute with
+transfer, restriction and the action.  Composites, sums and multiples of
+these maps are maps by construction and are not checked again (README,
+"Where maps are checked").
 """
 
 from __future__ import annotations
@@ -23,13 +26,20 @@ from .errors import IncompatiblePairing, PrimeMismatch, SizeLimit
 from .exactlin import (
     AbHom,
     FGAbPresentation,
-    identity_hom,
+    first_nonzero_column,
     solve_membership,
     tensor,
     vector_tensor,
 )
 from .intlinalg import IntMatrix
-from .mackey import MackeyFunctor, MackeyMap, burnside, orbit_sum, validate_mackey
+from .mackey import (
+    MackeyFunctor,
+    MackeyMap,
+    burnside,
+    identity_map,
+    orbit_sum,
+    validate_mackey,
+)
 
 DEFAULT_GENERATOR_LIMIT = 20000
 
@@ -77,10 +87,6 @@ def _tuple_vectors(vectors):
     for v in vectors[1:]:
         out = vector_tensor(out, v)
     return out
-
-
-def _unit_vec(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def box_many(factors, limit=None):
@@ -139,6 +145,8 @@ def box_many(factors, limit=None):
             row[n_pure + j] -= c
         rel_rows.append(tuple(row))
     # Frobenius reciprocity, slot by slot
+    top_units = [IntMatrix.identity(d).rows for d in top_dims]
+    bot_units = [IntMatrix.identity(d).rows for d in bot_dims]
     for i, fi in enumerate(factors):
         other_top_ranges = [range(d) for d in top_dims]
         for y in range(bot_dims[i]):
@@ -151,9 +159,9 @@ def box_many(factors, limit=None):
                 for j, fj in enumerate(factors):
                     if j == i:
                         pure_vecs.append(tr_col)
-                        tr_vecs.append(_unit_vec(bot_dims[i], y))
+                        tr_vecs.append(bot_units[i][y])
                     else:
-                        pure_vecs.append(_unit_vec(top_dims[j], full[j]))
+                        pure_vecs.append(top_units[j][full[j]])
                         tr_vecs.append(fj.res.matrix.column(full[j]))
                 pure_part = _tuple_vectors(pure_vecs)
                 tr_part = _tuple_vectors(tr_vecs)
@@ -210,49 +218,30 @@ class BilinearPairing:
     f_bot: AbHom  # tensor(M.bottom, N.bottom) -> L.bottom
 
     def check(self):
-        """List of violated conditions, empty when the pairing is valid."""
+        """List of violated conditions, empty when the pairing is valid: 1 is
+        res(x y) = res x res y, 2 is tr(x) y = tr(x res y), 3 is
+        x tr(y) = tr(res x y) and "weyl" is equivariance at the bottom, each
+        an identity between maps out of a tensor of levels, on the matrices."""
         m, n, L = self.m, self.n, self.target
-        bad = []
-        lhs = L.res.compose(self.f_top)
-        rhs = AbHom(
-            self.f_top.source,
-            L.bottom,
-            self.f_bot.matrix @ m.res.matrix.kron(n.res.matrix),
+        top, bot = self.f_top.matrix, self.f_bot.matrix
+        i_mt, i_nt, i_mb, i_nb = (
+            IntMatrix.identity(g.num_generators) for g in (m.top, n.top, m.bottom, n.bottom)
         )
-        if not lhs.equals(rhs):
-            bad.append(1)
-        mixed1 = tensor(m.bottom, n.top)
-        lhs1 = AbHom(
-            mixed1, L.top, self.f_top.matrix @ m.tr.matrix.kron(IntMatrix.identity(n.top.num_generators))
+        laws = (
+            (1, L.bottom, L.res.matrix @ top, bot @ m.res.matrix.kron(n.res.matrix)),
+            (2, L.top, top @ m.tr.matrix.kron(i_nt), L.tr.matrix @ bot @ i_mb.kron(n.res.matrix)),
+            (3, L.top, top @ i_mt.kron(n.tr.matrix), L.tr.matrix @ bot @ m.res.matrix.kron(i_nb)),
+            ("weyl", L.bottom, L.weyl.matrix @ bot, bot @ m.weyl.matrix.kron(n.weyl.matrix)),
         )
-        rhs1 = AbHom(
-            mixed1,
-            L.top,
-            L.tr.matrix
-            @ self.f_bot.matrix
-            @ IntMatrix.identity(m.bottom.num_generators).kron(n.res.matrix),
-        )
-        if not lhs1.equals(rhs1):
-            bad.append(2)
-        mixed2 = tensor(m.top, n.bottom)
-        lhs2 = AbHom(
-            mixed2, L.top, self.f_top.matrix @ IntMatrix.identity(m.top.num_generators).kron(n.tr.matrix)
-        )
-        rhs2 = AbHom(
-            mixed2,
-            L.top,
-            L.tr.matrix
-            @ self.f_bot.matrix
-            @ m.res.matrix.kron(IntMatrix.identity(n.bottom.num_generators)),
-        )
-        if not lhs2.equals(rhs2):
-            bad.append(3)
-        equiv = AbHom(
-            self.f_bot.source, L.bottom, self.f_bot.matrix @ m.weyl.matrix.kron(n.weyl.matrix)
-        )
-        if not L.weyl.compose(self.f_bot).equals(equiv):
-            bad.append("weyl")
-        return bad
+        return [law for law, level, f, g in laws if first_nonzero_column(level, f - g) is not None]
+
+    def top_product(self, a, b):
+        """Coordinates of e_a * e_b for top generators e_a of M and e_b of N."""
+        return self.f_top.matrix.column(a * self.n.top.num_generators + b)
+
+    def bot_product(self, x, y):
+        """Coordinates of e_x * e_y for bottom generators e_x of M and e_y of N."""
+        return self.f_bot.matrix.column(x * self.n.bottom.num_generators + y)
 
     def validate(self):
         bad = self.check()
@@ -273,23 +262,11 @@ def map_from_pairing(pairing: BilinearPairing, bp: BoxProduct | None = None) -> 
         bp = box(pairing.m, pairing.n)
     assert bp.factors == (pairing.m, pairing.n)
     L = pairing.target
-    top_cols = []
-    for lbl in bp.top_labels:
-        kind, tup = lbl
-        if kind == "pure":
-            col = pairing.f_top.matrix.column(_flat_index(tup, [pairing.m.top.num_generators, pairing.n.top.num_generators]))
-        else:
-            bot_col = pairing.f_bot.matrix.column(
-                _flat_index(tup, [pairing.m.bottom.num_generators, pairing.n.bottom.num_generators])
-            )
-            col = L.tr(bot_col)
-        top_cols.append(col)
-    bot_cols = [
-        pairing.f_bot.matrix.column(
-            _flat_index(tup, [pairing.m.bottom.num_generators, pairing.n.bottom.num_generators])
-        )
-        for tup in bp.bot_labels
+    top_cols = [
+        pairing.top_product(*tup) if kind == "pure" else L.tr(pairing.bot_product(*tup))
+        for kind, tup in bp.top_labels
     ]
+    bot_cols = [pairing.bot_product(*tup) for tup in bp.bot_labels]
     return _map_from_columns(bp, L, top_cols, bot_cols)
 
 
@@ -364,8 +341,7 @@ def permute_twist(src: BoxProduct, dst: BoxProduct, perm, twists) -> MackeyMap:
     for s in range(dst.arity):
         assert src.factors[perm[s]] == dst.factors[s]
     twists = [t % p for t in twists]
-    top_dims = [f.top.num_generators for f in dst.factors]
-    bot_dims = [f.bottom.num_generators for f in dst.factors]
+    top_units = [IntMatrix.identity(f.top.num_generators).rows for f in dst.factors]
     weyl_pows = [dst.factors[s].weyl.matrix.power(twists[s]) for s in range(dst.arity)]
 
     def bot_image(tup):
@@ -376,7 +352,7 @@ def permute_twist(src: BoxProduct, dst: BoxProduct, perm, twists) -> MackeyMap:
     for lbl in src.top_labels:
         kind, tup = lbl
         if kind == "pure":
-            vecs = [_unit_vec(top_dims[s], tup[perm[s]]) for s in range(dst.arity)]
+            vecs = [top_units[s][tup[perm[s]]] for s in range(dst.arity)]
             top_cols.append(_embed_pure(dst, _tuple_vectors(vecs)))
         else:
             top_cols.append(_embed_tr(dst, bot_image(tup)))
@@ -394,44 +370,29 @@ def contract_pair(src: BoxProduct, i, pairing: BilinearPairing, dst: BoxProduct)
     expected = src.factors[:i] + (pairing.target,) + src.factors[i + 2 :]
     assert dst.factors == expected
 
-    def images(tup, columns_of, pair_apply):
+    top_units = [IntMatrix.identity(f.top.num_generators).rows for f in src.factors]
+    bot_units = [IntMatrix.identity(f.bottom.num_generators).rows for f in src.factors]
+
+    def image(tup, units, product):
+        """Tensor of the slot images of the generator tuple ``tup``."""
         vecs = []
         s = 0
         while s < len(tup):
             if s == i:
-                vecs.append(pair_apply(tup[s], tup[s + 1]))
+                vecs.append(product(tup[s], tup[s + 1]))
                 s += 2
             else:
-                vecs.append(columns_of(s, tup[s]))
+                vecs.append(units[s][tup[s]])
                 s += 1
-        return vecs
+        return _tuple_vectors(vecs)
 
-    def top_unit(s, t):
-        return _unit_vec(src.factors[s].top.num_generators, t)
-
-    def bot_unit(s, t):
-        return _unit_vec(src.factors[s].bottom.num_generators, t)
-
-    def pair_top(a, b):
-        return pairing.f_top.matrix.column(
-            _flat_index((a, b), [pairing.m.top.num_generators, pairing.n.top.num_generators])
-        )
-
-    def pair_bot(x, y):
-        return pairing.f_bot.matrix.column(
-            _flat_index((x, y), [pairing.m.bottom.num_generators, pairing.n.bottom.num_generators])
-        )
-
-    top_cols = []
-    for lbl in src.top_labels:
-        kind, tup = lbl
-        if kind == "pure":
-            top_cols.append(_embed_pure(dst, _tuple_vectors(images(tup, top_unit, pair_top))))
-        else:
-            top_cols.append(_embed_tr(dst, _tuple_vectors(images(tup, bot_unit, pair_bot))))
-    bot_cols = [
-        _tuple_vectors(images(tup, bot_unit, pair_bot)) for tup in src.bot_labels
+    top_cols = [
+        _embed_pure(dst, image(tup, top_units, pairing.top_product))
+        if kind == "pure"
+        else _embed_tr(dst, image(tup, bot_units, pairing.bot_product))
+        for kind, tup in src.top_labels
     ]
+    bot_cols = [image(tup, bot_units, pairing.bot_product) for tup in src.bot_labels]
     return _map_from_columns(src, dst.result, top_cols, bot_cols)
 
 
@@ -456,13 +417,14 @@ def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing
         used.extend(slot for slot, _ in lst)
     assert sorted(used) == list(range(src.arity)), "assignment must use each source slot once"
     weyl_pow = [m.weyl.matrix.power(t) for t in range(p)]
+    top_units = IntMatrix.identity(m.top.num_generators).rows
 
     def fold_top(tup):
         vecs = []
         for s in range(dst.arity):
             cur = None
             for slot, _ in norm[s]:
-                nxt = _unit_vec(m.top.num_generators, tup[slot])
+                nxt = top_units[tup[slot]]
                 cur = nxt if cur is None else pairing.f_top(vector_tensor(cur, nxt))
             vecs.append(tuple(one_top) if cur is None else tuple(cur))
         return vecs
@@ -494,18 +456,10 @@ def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing
 
 def burnside_action_pairing(m: MackeyFunctor) -> BilinearPairing:
     """The canonical action of the Burnside functor on any Mackey functor."""
-    a = burnside(m.prime)
-    trres = m.tr.compose(m.res)
-    top_cols = []
-    for i in range(2):
-        for b in range(m.top.num_generators):
-            if i == 0:
-                top_cols.append(_unit_vec(m.top.num_generators, b))
-            else:
-                top_cols.append(trres.matrix.column(b))
-    top_mat = IntMatrix.from_columns(top_cols, m.top.num_generators)
+    # the fixed-orbit class acts as the identity, the free-orbit class as tr res
+    top_mat = IntMatrix.identity(m.top.num_generators).hstack(m.tr.matrix @ m.res.matrix)
     bot_mat = IntMatrix.identity(m.bottom.num_generators)
-    return pairing_from_matrices(a, m, m, top_mat, bot_mat)
+    return pairing_from_matrices(burnside(m.prime), m, m, top_mat, bot_mat)
 
 
 def unitor(m: MackeyFunctor, bp: BoxProduct | None = None) -> MackeyMap:
@@ -532,9 +486,7 @@ def nested_to_flat(outer: BoxProduct, inner: BoxProduct, side, flat: BoxProduct)
         m1 = outer.factors[0]
         assert flat.factors == (m1,) + inner.factors
 
-    bot_dims = [f.bottom.num_generators for f in flat.factors]
     top_dims = [f.top.num_generators for f in flat.factors]
-    n_pure_inner = inner.pure_count()
 
     def split_inner_top(g):
         return inner.top_labels[g]
@@ -594,9 +546,8 @@ def invert_iso(m: MackeyMap) -> MackeyMap:
 
     def invert(h: AbHom) -> AbHom:
         cols = []
-        n = h.target.num_generators
-        for j in range(n):
-            c = solve_membership(h.target, h.matrix, _unit_vec(n, j))
+        for e in IntMatrix.identity(h.target.num_generators).rows:
+            c = solve_membership(h.target, h.matrix, e)
             if c is None:
                 raise ValueError("map is not surjective")
             cols.append(c)
@@ -609,12 +560,7 @@ def invert_iso(m: MackeyMap) -> MackeyMap:
 def collapse_single(bp: BoxProduct) -> MackeyMap:
     """Identity map of a single-factor box product onto its factor."""
     assert bp.arity == 1
-    return MackeyMap(
-        bp.result,
-        bp.factors[0],
-        identity_hom(bp.result.top),
-        identity_hom(bp.result.bottom),
-    )
+    return identity_map(bp.result)
 
 
 # ---------------------------------------------------------------------------

@@ -77,3 +77,13 @@ class NotEquivariant(MackeyboxError):
 
 class NotInjective(MackeyboxError):
     pass
+
+
+class NotAMackeyMap(MackeyboxError, ValueError):
+    """Level maps that do not commute with transfer, restriction or the action;
+    ``failures`` holds the failed squares, each with its witness generator."""
+
+    def __init__(self, failures):
+        self.failures = tuple(failures)
+        witnessed = "; ".join(f"{c.name} ({c.witness})" for c in self.failures)
+        super().__init__(f"not a map of Mackey functors: {witnessed}")

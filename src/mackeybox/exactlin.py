@@ -170,34 +170,31 @@ class AbHom:
         """self after other."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        return AbHom(other.source, self.target, self.matrix @ other.matrix)
+        return _unchecked(AbHom, other.source, self.target, self.matrix @ other.matrix)
 
     def __add__(self, other):
         _same_ends(self, other)
-        return AbHom(self.source, self.target, self.matrix + other.matrix)
+        return _unchecked(AbHom, self.source, self.target, self.matrix + other.matrix)
 
     def __sub__(self, other):
         _same_ends(self, other)
-        return AbHom(self.source, self.target, self.matrix - other.matrix)
+        return _unchecked(AbHom, self.source, self.target, self.matrix - other.matrix)
 
     def scale(self, k):
-        return AbHom(self.source, self.target, self.matrix.scale(k))
+        return _unchecked(AbHom, self.source, self.target, self.matrix.scale(k))
 
     def power(self, e):
         if self.source != self.target:
             raise ValueError("power of non-endomorphism")
-        return AbHom(self.source, self.target, self.matrix.power(e))
+        return _unchecked(AbHom, self.source, self.target, self.matrix.power(e))
 
     def equals(self, other: "AbHom") -> bool:
         """Equality up to target relations, columnwise."""
         _same_ends(self, other)
-        diff = self.matrix - other.matrix
-        return all(self.target.reduces_to_zero(diff.column(j)) for j in range(diff.ncols))
+        return first_nonzero_column(self.target, self.matrix - other.matrix) is None
 
     def is_zero(self):
-        return all(
-            self.target.reduces_to_zero(self.matrix.column(j)) for j in range(self.matrix.ncols)
-        )
+        return first_nonzero_column(self.target, self.matrix) is None
 
     def to_json(self):
         return {
@@ -205,6 +202,26 @@ class AbHom:
             "target": self.target.to_json(),
             "matrix": self.matrix.to_lists(),
         }
+
+
+def _unchecked(cls, *values):
+    """The frozen dataclass ``cls`` holding ``values``, built without its
+    ``__post_init__`` check: only for results that are maps by construction
+    (README, "Where maps are checked")."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def first_nonzero_column(target: FGAbPresentation, matrix: IntMatrix):
+    """Index of the first column of ``matrix`` that is not zero modulo the
+    relations of ``target``, or None.  Maps f, g agree exactly when this is
+    None for f - g: every identity between maps is decided here."""
+    for j, col in enumerate(zip(*matrix.rows)):
+        if not target.reduces_to_zero(col):
+            return j
+    return None
 
 
 def _apply(matrix, vec):
@@ -217,11 +234,13 @@ def _same_ends(f, g):
 
 
 def identity_hom(pres):
-    return AbHom(pres, pres, IntMatrix.identity(pres.num_generators))
+    return _unchecked(AbHom, pres, pres, IntMatrix.identity(pres.num_generators))
 
 
 def zero_hom(source, target):
-    return AbHom(source, target, IntMatrix.zeros(target.num_generators, source.num_generators))
+    return _unchecked(
+        AbHom, source, target, IntMatrix.zeros(target.num_generators, source.num_generators)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .exactlin import (
     _apply,
     cyclic_group,
     finite_model,
+    first_nonzero_column,
     hom_kernel,
     identity_hom,
     quotient_by_subgroup,
@@ -544,4 +545,5 @@ def subgroup_is_full(pres, rows):
 
 
 def subgroup_is_zero(pres, rows):
-    return all(pres.reduces_to_zero(r) for r in rows)
+    """True when every given element row is zero in ``pres``."""
+    return first_nonzero_column(pres, IntMatrix.from_columns(rows, pres.num_generators)) is None

@@ -94,13 +94,19 @@ class IntMatrix:
         return IntMatrix(tuple(self.column(j) for j in range(self.ncols)), self.nrows)
 
     def __matmul__(self, other):
+        """Row i of the product is the sum of the rows of ``other`` scaled by
+        the nonzero entries of row i of ``self``."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        ot = other.transpose().rows
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.rows),
-            other.ncols,
-        )
+        zero = (0,) * other.ncols
+        out = []
+        for row in self.rows:
+            acc = zero
+            for a, orow in zip(row, other.rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, orow)]
+            out.append(acc)
+        return IntMatrix(out, other.ncols)
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

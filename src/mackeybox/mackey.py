@@ -12,16 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InfiniteGroup, NotAComplex, NotAnAction, NotPrime
+from .errors import InfiniteGroup, NotAComplex, NotAMackeyMap, NotAnAction, NotPrime
 from .exactlin import (
     AbHom,
     FGAbPresentation,
     _apply,
+    _same_ends,
+    _unchecked,
     cyclic_group,
     direct_sum,
     enumerate_subgroups,
     factor_through_injection,
     finite_model,
+    first_nonzero_column,
     free_group,
     hom_cokernel,
     hom_kernel,
@@ -120,10 +123,10 @@ def _hom_eq_check(name, target: FGAbPresentation, f: IntMatrix, g: IntMatrix):
     """Whether the matrices f and g agree modulo the relations of ``target``;
     a failure names the first generator (column) on which they differ."""
     diff = f - g
-    for j in range(diff.ncols):
-        if not target.reduces_to_zero(diff.column(j)):
-            return ValidationCheck(name, False, f"generator {j} maps to {list(diff.column(j))}")
-    return ValidationCheck(name, True)
+    j = first_nonzero_column(target, diff)
+    if j is None:
+        return ValidationCheck(name, True)
+    return ValidationCheck(name, False, f"generator {j} maps to {list(diff.column(j))}")
 
 
 def validate_mackey(m: MackeyFunctor) -> ValidationReport:
@@ -149,36 +152,46 @@ class MackeyMap:
 
     def __post_init__(self):
         assert self.source.prime == self.target.prime
-        checks = self.compatibility_failures()
-        if checks:
-            raise ValueError("not a map of Mackey functors: " + "; ".join(checks))
+        ends = (self.f_top.source, self.f_top.target, self.f_bot.source, self.f_bot.target)
+        if ends != (self.source.top, self.target.top, self.source.bottom, self.target.bottom):
+            raise ValueError("level maps do not run between the functors' levels")
+        failures = self.compatibility_failures()
+        if failures:
+            raise NotAMackeyMap(failures)
 
     def compatibility_failures(self):
-        out = []
-        if not self.target.tr.compose(self.f_bot).equals(self.f_top.compose(self.source.tr)):
-            out.append("transfer not respected")
-        if not self.target.res.compose(self.f_top).equals(self.f_bot.compose(self.source.res)):
-            out.append("restriction not respected")
-        if not self.target.weyl.compose(self.f_bot).equals(self.f_bot.compose(self.source.weyl)):
-            out.append("action not respected")
-        return out
+        """The squares that do not commute, as failed ``ValidationCheck``s
+        whose witness is the first generator on which the two sides differ."""
+        s, t = self.source, self.target
+        top, bot = self.f_top.matrix, self.f_bot.matrix
+        squares = (
+            ("transfer not respected", t.top, t.tr.matrix @ bot, top @ s.tr.matrix),
+            ("restriction not respected", t.bottom, t.res.matrix @ top, bot @ s.res.matrix),
+            ("action not respected", t.bottom, t.weyl.matrix @ bot, bot @ s.weyl.matrix),
+        )
+        checks = [_hom_eq_check(*square) for square in squares]
+        return [c for c in checks if not c.passed]
 
     def compose(self, other: "MackeyMap") -> "MackeyMap":
-        return MackeyMap(
-            other.source,
-            self.target,
-            self.f_top.compose(other.f_top),
-            self.f_bot.compose(other.f_bot),
-        )
+        """self after other."""
+        if other.target != self.source:
+            raise ValueError("composition mismatch")
+        top, bot = self.f_top.compose(other.f_top), self.f_bot.compose(other.f_bot)
+        return _unchecked(MackeyMap, other.source, self.target, top, bot)
 
     def __add__(self, other):
-        return MackeyMap(self.source, self.target, self.f_top + other.f_top, self.f_bot + other.f_bot)
+        _same_ends(self, other)
+        return self._levelwise(self.f_top + other.f_top, self.f_bot + other.f_bot)
 
     def __sub__(self, other):
-        return MackeyMap(self.source, self.target, self.f_top - other.f_top, self.f_bot - other.f_bot)
+        _same_ends(self, other)
+        return self._levelwise(self.f_top - other.f_top, self.f_bot - other.f_bot)
 
     def scale(self, k):
-        return MackeyMap(self.source, self.target, self.f_top.scale(k), self.f_bot.scale(k))
+        return self._levelwise(self.f_top.scale(k), self.f_bot.scale(k))
+
+    def _levelwise(self, f_top, f_bot):
+        return _unchecked(MackeyMap, self.source, self.target, f_top, f_bot)
 
     def equals(self, other):
         return self.f_top.equals(other.f_top) and self.f_bot.equals(other.f_bot)
@@ -201,13 +214,12 @@ class MackeyMap:
 
 
 def identity_map(m: MackeyFunctor) -> MackeyMap:
-    return MackeyMap(m, m, identity_hom(m.top), identity_hom(m.bottom))
+    return _unchecked(MackeyMap, m, m, identity_hom(m.top), identity_hom(m.bottom))
 
 
 def zero_map(source: MackeyFunctor, target: MackeyFunctor) -> MackeyMap:
-    return MackeyMap(
-        source, target, zero_hom(source.top, target.top), zero_hom(source.bottom, target.bottom)
-    )
+    top, bot = zero_hom(source.top, target.top), zero_hom(source.bottom, target.bottom)
+    return _unchecked(MackeyMap, source, target, top, bot)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +280,6 @@ def j_bottom(p, v: FGAbPresentation, gamma: AbHom) -> MackeyFunctor:
         raise NotAnAction(f"gamma^{p} is not the identity")
     fixed, incl = hom_kernel(gamma - identity_hom(v))
     tr = factor_through_injection(AbHom(v, v, orbit_sum(gamma.matrix, p)), incl)
-    weyl_fixed_check = gamma.compose(incl)
-    assert weyl_fixed_check.equals(incl)
     return MackeyFunctor(p, fixed, v, tr, incl, gamma)
 
 

@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
@@ -63,6 +63,27 @@ def test_empty_matrices_equal_zeros():
         assert IntMatrix([], n) == IntMatrix.zeros(0, n)
         cols = IntMatrix.from_columns([], n)
         assert cols == IntMatrix.zeros(n, 0) and (cols.nrows, cols.ncols) == (n, 0)
+
+
+@st.composite
+def matrix_pairs(draw, max_dim=4):
+    """(a, b, k, m): an n x k and a k x m matrix as lists of rows."""
+    n, k, m = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+    a = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entries) for _ in range(m)] for _ in range(k)]
+    return a, b, k, m
+
+
+@given(matrix_pairs())
+@example(([], [[], [], []], 3, 0))  # 0x3 @ 3x0
+@example(([[], []], [], 0, 4))  # 2x0 @ 0x4
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_triple_loop(pair):
+    a, b, k, m = pair
+    product = IntMatrix(a, k) @ IntMatrix(b, m)
+    expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(len(a))]
+    assert (product.nrows, product.ncols) == (len(a), m)
+    assert product.to_lists() == expected
 
 
 def test_solve_and_kernel():

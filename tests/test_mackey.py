@@ -1,6 +1,6 @@
 import pytest
 
-from mackeybox.errors import InfiniteGroup, NotAnAction, NotPrime
+from mackeybox.errors import InfiniteGroup, MackeyboxError, NotAMackeyMap, NotAnAction, NotPrime
 from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
@@ -9,12 +9,15 @@ from mackeybox.exactlin import (
     free_group,
     identity_hom,
     subgroup_key,
+    zero_group,
+    zero_hom,
 )
 from mackeybox import mackey
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     MackeyChainComplex,
     MackeyFunctor,
+    MackeyMap,
     burnside,
     canonical_levels,
     constant,
@@ -87,6 +90,27 @@ def test_corrupted_transfer_fails_with_witness():
     names = [c.name for c in report.failures()]
     assert "res_tr_is_orbit_sum" in names
     assert any(c.witness for c in report.failures())
+
+
+def test_incompatible_map_raises_typed_error_with_witness():
+    # C_3 acting on Z^2 = Z[w] by w, with top 0: 1 + w + w^2 = 0, so res tr
+    # is the orbit sum.  The transfer and restriction squares live on the
+    # zero group; only the action square can fail.
+    v = free_group(2)
+    z = zero_group()
+    omega = AbHom(v, v, IntMatrix([[0, -1], [1, -1]]))
+    m = MackeyFunctor(3, z, v, zero_hom(v, z), zero_hom(z, v), omega)
+    assert validate_mackey(m).passed
+    MackeyMap(m, m, identity_hom(z), omega)  # the action commutes with itself
+    corrupted = AbHom(v, v, IntMatrix([[1, 0], [0, 0]]))  # identity, entry (1, 1) zeroed
+    with pytest.raises(NotAMackeyMap) as err:
+        MackeyMap(m, m, identity_hom(z), corrupted)
+    # w @ f_bot - f_bot @ w has column 0 equal to (0, 1)
+    assert [c.name for c in err.value.failures] == ["action not respected"]
+    assert str(err.value) == (
+        "not a map of Mackey functors: action not respected (generator 0 maps to [0, 1])"
+    )
+    assert isinstance(err.value, MackeyboxError) and isinstance(err.value, ValueError)
 
 
 def test_not_prime_rejected():
