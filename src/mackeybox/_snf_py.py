@@ -3,6 +3,8 @@
 Pure Python and arbitrary precision.  It works on plain list-of-lists and
 returns ``(U, D, V)`` with ``U @ A @ V == D``, ``U`` and ``V`` unimodular,
 ``D`` diagonal with each diagonal entry dividing the next and zeros last.
+With ``with_v=False`` it skips every operation on V and returns ``None`` in
+its place; U and D are the same either way.
 """
 
 
@@ -35,11 +37,12 @@ def _col_combine(m, c1, c2, a, b, c, d):
         row[c2] = c * u + d * v
 
 
-def smith_normal_form(rows, nrows, ncols):
+def smith_normal_form(rows, nrows, ncols, with_v=True):
     """Return (U, D, V) as lists of lists with U*A*V = D in Smith form."""
     D = [list(r) for r in rows]
     U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    # An empty V makes every column operation on it a no-op.
+    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] if with_v else []
 
     t = 0
     limit = min(nrows, ncols)
@@ -131,4 +134,4 @@ def smith_normal_form(rows, nrows, ncols):
                         D[i + 1][j] = -D[i + 1][j]
                     for j in range(nrows):
                         U[i + 1][j] = -U[i + 1][j]
-    return U, D, V
+    return U, D, V if with_v else None

@@ -5,6 +5,16 @@ class MackeyboxError(Exception):
     """Base class for all library errors."""
 
 
+class NotAnInteger(MackeyboxError, TypeError):
+    """A matrix entry or scale factor that is not an exact integer; ``row``
+    and ``column`` locate a matrix entry and are None for a scale factor."""
+
+    def __init__(self, value, row=None, column=None):
+        self.value, self.row, self.column = value, row, column
+        where = "scale factor" if row is None else f"entry at row {row}, column {column}"
+        super().__init__(f"{where} is not an integer: {value!r}")
+
+
 class NotPrime(MackeyboxError):
     pass
 

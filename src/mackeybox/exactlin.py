@@ -20,7 +20,7 @@ from .intlinalg import (
     IntMatrix,
     hermite_row_basis,
     kernel_basis,
-    smith_normal_form,
+    smith_u_diagonal,
     solve,
     unimodular_inverse,
 )
@@ -41,19 +41,25 @@ class FGAbPresentation:
 
     # -- Smith form of the relations, computed once per object -----------
     @cached_property
+    def _smith(self):
+        """(U, diagonal) of U @ relations^T @ V == D in Smith form, built
+        without V.  The presentation owns it: it is stored in the instance
+        ``__dict__``, outside the dataclass fields, so equality and hashing
+        ignore it, and it is freed with the object.  ``_reducer`` and
+        ``_model`` both read it."""
+        return smith_u_diagonal(self.relations.transpose())
+
+    @cached_property
     def _reducer(self):
-        """(kept, canonical) from U @ relations^T @ V == D in Smith form.
+        """(kept, canonical) from the Smith form ``_smith``.
 
         ``vec`` lies in the row span of the relations exactly when ``U @ vec``
         lies in the column span of D: entry i is 0 where d_i == 0 and a
         multiple of d_i otherwise.  ``kept`` holds the pairs (U row i, d_i)
-        with d_i != 1, the only rows that constrain anything.  The value is
-        stored in the instance ``__dict__``, outside the dataclass fields, so
-        equality and hashing ignore it.
+        with d_i != 1, the only rows that constrain anything.
         """
-        u, d, _ = smith_normal_form(self.relations.transpose())
-        k = min(d.nrows, d.ncols)
-        diag = [abs(d.rows[i][i]) if i < k else 0 for i in range(self.num_generators)]
+        u, diagonal = self._smith
+        diag = [abs(x) for x in diagonal] + [0] * (self.num_generators - len(diagonal))
         kept = tuple((u.rows[i], di) for i, di in enumerate(diag) if di != 1)
         return kept, (diag.count(0), tuple(x for x in diag if x > 1))
 
@@ -96,8 +102,8 @@ class FGAbPresentation:
         kept, like ``_reducer``, outside equality and hashing."""
         if not self.is_finite():
             raise InfiniteGroup("cannot enumerate an infinite group")
-        u, d, _ = smith_normal_form(self.relations.transpose())
-        moduli = tuple(abs(d.rows[i][i]) for i in range(self.num_generators))
+        u, diagonal = self._smith
+        moduli = tuple(abs(x) for x in diagonal)
         return FiniteModel(self, moduli, u, unimodular_inverse(u))
 
     def to_json(self):

@@ -274,11 +274,15 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
                 }
                 verdicts.append((position[d2], position[s], table))
 
+    # Each lattice holds one zero and one full subfunctor; the all-zero and
+    # the all-full combinations are the trivial ideals, skipped by position.
+    zeros = tuple(next(i for i, s in enumerate(lattice) if s.is_zero()) for lattice in lattices)
+    fulls = tuple(next(i for i, s in enumerate(lattice) if s.is_full()) for lattice in lattices)
     for combo in iproduct(*(range(len(lattice)) for lattice in lattices)):
-        choice = [lattice[i] for lattice, i in zip(lattices, combo)]
-        if all(s.is_zero() for s in choice) or all(s.is_full() for s in choice):
+        if combo == zeros or combo == fulls:
             continue
         if all(table[(combo[i], combo[k])] for i, k, table in verdicts):
+            choice = [lattice[i] for lattice, i in zip(lattices, combo)]
             witness = {
                 d.key(): {
                     "top": sorted(list(c) for c in sub.top_elements),

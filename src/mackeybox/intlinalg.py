@@ -1,16 +1,19 @@
 """Exact integer matrices and their Smith normal form.
 
 Matrices are immutable, hashable, dense, and arbitrary precision.  Every
-Smith normal form comes from the pure-Python kernel in ``_snf_py`` and is
-cached by matrix value.
+Smith normal form comes from the pure-Python kernel in ``_snf_py``.  The full
+form ``smith_normal_form`` is cached by matrix value; ``smith_u_diagonal``
+builds no V and caches nothing, for callers that keep the result themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, index, sub
 
 from . import _snf_py
+from .errors import NotAnInteger
 
 # perfbench reads these two names (its tracer and its environment line); the
 # library has one Smith-form kernel, so there is nothing compiled to report.
@@ -27,7 +30,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = _exact_rows(rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -47,11 +50,11 @@ class IntMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return _trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols)
+        return _trusted(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_columns(cls, cols, nrows):
@@ -91,7 +94,8 @@ class IntMatrix:
 
     # ------------------------------------------------------------------
     def transpose(self):
-        return IntMatrix(tuple(self.column(j) for j in range(self.ncols)), self.nrows)
+        cols = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return _trusted(cols, self.nrows)
 
     def __matmul__(self, other):
         """Row i of the product is the sum of the rows of ``other`` scaled by
@@ -106,21 +110,24 @@ class IntMatrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, orow)]
             out.append(acc)
-        return IntMatrix(out, other.ncols)
+        return _trusted(tuple(map(tuple, out)), other.ncols)
 
     def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        return _trusted(
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows)), self.ncols
+        )
 
     def scale(self, k):
-        return IntMatrix(tuple(tuple(k * x for x in r) for r in self.rows), self.ncols)
+        k = _exact(k)
+        return _trusted(tuple(tuple(k * x for x in r) for r in self.rows), self.ncols)
 
     def power(self, e):
         if e < 0:
@@ -138,32 +145,75 @@ class IntMatrix:
         for r1 in self.rows:
             for r2 in other.rows:
                 rows.append(tuple(a * b for a in r1 for b in r2))
-        return IntMatrix(tuple(rows), self.ncols * other.ncols)
+        return _trusted(tuple(rows), self.ncols * other.ncols)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise ValueError("column mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.ncols)
+        return _trusted(self.rows + other.rows, self.ncols)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(
+        return _trusted(
             tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows)),
             self.ncols + other.ncols,
         )
+
+
+def _trusted(rows, ncols):
+    """An ``IntMatrix`` holding ``rows`` as given, without ``__init__``'s
+    conversion: only for a tuple of ``ncols``-long tuples of exact ints, such
+    as the results of the arithmetic above."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "nrows", len(rows))
+    object.__setattr__(m, "ncols", ncols)
+    return m
+
+
+def _exact(x, row=None, column=None):
+    """``x`` as an exact int; anything else raises ``NotAnInteger``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise NotAnInteger(x, row, column) from None
+
+
+def _exact_rows(rows):
+    """``rows`` as a tuple of tuples of exact ints, for ``IntMatrix.__init__``."""
+    out = []
+    for i, r in enumerate(rows):
+        r = tuple(r)
+        try:
+            out.append(tuple(map(index, r)))
+        except TypeError:
+            for j, x in enumerate(r):
+                _exact(x, i, j)
+            raise
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def smith_normal_form(mat: IntMatrix):
     """(U, D, V) with U @ mat @ V == D in Smith normal form."""
     u, d, v = _snf_py.smith_normal_form(mat.rows, mat.nrows, mat.ncols)
-    return IntMatrix(u, mat.nrows), IntMatrix(d, mat.ncols), IntMatrix(v, mat.ncols)
+    return _from_lists(u, mat.nrows), _from_lists(d, mat.ncols), _from_lists(v, mat.ncols)
 
 
-def smith_diagonal(mat):
-    _, d, _ = smith_normal_form(mat)
-    return tuple(d.rows[i][i] for i in range(min(d.nrows, d.ncols)))
+def smith_u_diagonal(mat: IntMatrix):
+    """(U, diagonal) of the Smith form U @ mat @ V == D, without building V.
+
+    ``diagonal`` holds the min(nrows, ncols) diagonal entries of D.  Nothing
+    is cached: the caller owns the result.
+    """
+    u, d, _ = _snf_py.smith_normal_form(mat.rows, mat.nrows, mat.ncols, with_v=False)
+    return _from_lists(u, mat.nrows), tuple(d[i][i] for i in range(min(mat.nrows, mat.ncols)))
+
+
+def _from_lists(rows, ncols):
+    """A kernel result (a list of lists of ints) as an ``IntMatrix``."""
+    return _trusted(tuple(map(tuple, rows)), ncols)
 
 
 def solve(mat, target):
@@ -225,7 +275,7 @@ def unimodular_inverse(mat):
                 raise ValueError("matrix is not unimodular")
             row.append(int(v))
         out.append(tuple(row))
-    return IntMatrix(tuple(out), n)
+    return _trusted(tuple(out), n)
 
 
 def hermite_row_basis(rows, ncols):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from mackeybox import _snf_py
 from mackeybox.errors import IllFormedHom, InfiniteGroup
 from mackeybox.exactlin import (
     AbHom,
@@ -30,7 +31,7 @@ from mackeybox.exactlin import (
     zero_group,
     zero_hom,
 )
-from mackeybox.intlinalg import IntMatrix, smith_diagonal, smith_normal_form
+from mackeybox.intlinalg import IntMatrix, smith_normal_form, smith_u_diagonal
 
 
 def canon(pres):
@@ -96,7 +97,7 @@ def test_snf_properties(m):
 @settings(max_examples=60, deadline=None)
 def test_snf_idempotent_canonical_form(m):
     _, d, _ = smith_normal_form(m)
-    assert smith_diagonal(d) == smith_diagonal(m)
+    assert smith_u_diagonal(d)[1] == smith_u_diagonal(m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +207,25 @@ def test_cached_reducer_leaves_equality_and_hash_alone():
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert AbHom(a, b, IntMatrix.identity(2)) == AbHom(b, a, IntMatrix.identity(2))
+
+
+def test_presentations_build_no_v(monkeypatch):
+    vs = []
+    kernel = _snf_py.smith_normal_form
+
+    def recording(*args, **kwargs):
+        u, d, v = kernel(*args, **kwargs)
+        vs.append(v)
+        return u, d, v
+
+    monkeypatch.setattr(_snf_py, "smith_normal_form", recording)
+    # each equal presentation owns its Smith form, so each one computes it
+    rels = IntMatrix([[2 * 9973, 0], [0, 3 * 9973]])
+    a, b, c = (FGAbPresentation(2, rels) for _ in range(3))
+    assert a.canonical() == (0, (9973, 6 * 9973))
+    assert b.reduces_to_zero((2 * 9973, 0)) and not b.reduces_to_zero((9973, 0))
+    assert finite_model(c).order() == 6 * 9973**2
+    assert vs == [None] * 3
 
 
 # ---------------------------------------------------------------------------

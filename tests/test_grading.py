@@ -251,6 +251,47 @@ def test_graded_window_witness_matches_brute_force(tower):
     assert cert == brute_force_window_check(tower, window)
 
 
+def zero_product_tower(pieces):
+    """``pieces`` (degree -> Mackey functor) with every product zero, so that
+    every combination of subfunctors is a graded ideal and only the skipped
+    all-zero and all-full combinations shape the answer."""
+    pairings = {}
+    for d1, a in pieces.items():
+        for d2, b in pieces.items():
+            c = pieces.get(d1 + d2)
+            if c is not None:
+                pairings[(d1, d2)] = pairing_from_matrices(
+                    a, b, c,
+                    IntMatrix.zeros(c.top.num_generators, a.top.num_generators * b.top.num_generators),
+                    IntMatrix.zeros(
+                        c.bottom.num_generators, a.bottom.num_generators * b.bottom.num_generators
+                    ),
+                )
+    return GradedGreenTower(2, pieces, pairings)
+
+
+def test_graded_window_skips_exactly_the_trivial_combinations():
+    f3 = constant_green(2, 3).underlying  # two subfunctors: full first, zero last
+    full, zero = enumerate_subfunctors(f3)
+    assert full.is_full() and zero.is_zero()
+    window = BoxWindow(2, 1, 0)
+    # one degree: both combinations are trivial, so there is no witness
+    lone = zero_product_tower({deg2(0, 0): f3})
+    assert graded_field_window_check(lone, window).verdict == "no_graded_ideal_in_window"
+    # two degrees: the first combination after all-full is full at 0, zero at 1
+    d0, d1 = deg2(0, 0), deg2(1, 0)
+    tower = zero_product_tower({d0: f3, d1: f3})
+    cert = graded_field_window_check(tower, window).to_json()
+    assert cert == brute_force_window_check(tower, window)
+    assert cert["witness"] == {
+        d.key(): {
+            "top": sorted(list(c) for c in sub.top_elements),
+            "bottom": sorted(list(c) for c in sub.bottom_elements),
+        }
+        for d, sub in ((d0, full), (d1, zero))
+    }
+
+
 def brute_force_window_check(tower, window):
     """Oracle for ``graded_field_window_check`` on finite towers: walks every
     combination of subfunctors in the same order and multiplies every

@@ -1,13 +1,18 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from mackeybox.errors import MackeyboxError, NotAnInteger
 from mackeybox.intlinalg import (
     IntMatrix,
     hermite_row_basis,
     kernel_basis,
     smith_normal_form,
+    smith_u_diagonal,
     solve,
     unimodular_inverse,
 )
@@ -45,6 +50,20 @@ def test_snf_matches_sympy(data):
     assert (u.nrows, u.ncols, v.nrows, v.ncols) == (m, m, n, n)
     assert abs(Matrix(m, m, [x for r in u.rows for x in r]).det()) == 1
     assert abs(Matrix(n, n, [x for r in v.rows for x in r]).det()) == 1
+
+
+@given(raw_matrices())
+@example(([], 0, 3))  # 0x3
+@example(([[], [], []], 3, 0))  # 3x0
+@settings(max_examples=120, deadline=None)
+def test_smith_u_diagonal_matches_full_form(data):
+    rows, m, n = data
+    a = IntMatrix(rows, n)
+    u, diagonal = smith_u_diagonal(a)
+    full_u, d, _ = smith_normal_form(a)
+    assert u == full_u
+    assert list(diagonal) == sympy_invariant_factors(rows, m, n)
+    assert diagonal == tuple(d.rows[i][i] for i in range(min(m, n)))
 
 
 def test_snf_arbitrary_precision():
@@ -115,3 +134,105 @@ def test_kron_index_convention():
     # pair (i, j) -> i * ncols_b + j on columns, rows likewise
     assert k.nrows == 2 and k.ncols == 2
     assert k.to_lists() == [[3, 6], [4, 8]]
+
+
+# ---------------------------------------------------------------------------
+# results of the arithmetic are built without conversion
+
+
+def rebuilt(mat):
+    """``mat`` passed through the public, converting constructor."""
+    return IntMatrix([list(r) for r in mat.rows], mat.ncols)
+
+
+def assert_exact(mat):
+    again = rebuilt(mat)
+    assert mat == again and hash(mat) == hash(again)
+    assert mat.nrows == len(mat.rows) == again.nrows and mat.ncols == again.ncols
+    assert isinstance(mat.rows, tuple)
+    assert all(isinstance(r, tuple) and len(r) == mat.ncols for r in mat.rows)
+    assert all(type(x) is int for r in mat.rows for x in r)
+
+
+@st.composite
+def same_shape_pairs(draw, max_dim=4):
+    m = draw(st.integers(min_value=0, max_value=max_dim))
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    a, b = ([[draw(entries) for _ in range(n)] for _ in range(m)] for _ in range(2))
+    return IntMatrix(a, n), IntMatrix(b, n)
+
+
+@given(same_shape_pairs(), same_shape_pairs(), st.integers(min_value=-5, max_value=5))
+@example((IntMatrix.zeros(0, 2), IntMatrix.zeros(0, 2)), (IntMatrix.zeros(3, 0),) * 2, 2)
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_results_are_exact_int_matrices(pair, other_pair, k):
+    a, b = pair
+    c, _ = other_pair
+    results = [
+        a.transpose(),
+        a @ a.transpose(),
+        a + b,
+        a - b,
+        a.scale(k),
+        a.kron(c),
+        a.vstack(b),
+        a.hstack(b),
+        IntMatrix.identity(a.ncols),
+        IntMatrix.zeros(a.nrows, c.ncols),
+        *smith_normal_form(a),
+        smith_u_diagonal(a)[0],
+    ]
+    if a.nrows == a.ncols:
+        results.append(a.power(2))
+    for mat in results:
+        assert_exact(mat)
+
+
+@given(same_shape_pairs())
+@example((IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)))
+@example((IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 3)))
+@example((IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0)))
+@settings(max_examples=100, deadline=None)
+def test_difference_is_sum_with_negation(pair):
+    a, b = pair
+    assert a - b == a + b.scale(-1)
+    assert (a - b).ncols == a.ncols and (a - b).nrows == a.nrows
+
+
+def test_difference_checks_shapes():
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]) - IntMatrix([[1], [2]])
+
+
+# ---------------------------------------------------------------------------
+# entries are exact integers or an error
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ([[1.9, True]], (0, 0, 1.9)),
+        ([[1, 2], [3, 2.0]], (1, 1, 2.0)),
+        ([[0, Fraction(1, 2)]], (0, 1, Fraction(1, 2))),
+        ([[1, "3"]], (0, 1, "3")),
+    ],
+)
+def test_inexact_entries_raise(rows, where):
+    with pytest.raises(NotAnInteger) as info:
+        IntMatrix(rows)
+    err = info.value
+    assert isinstance(err, MackeyboxError) and isinstance(err, TypeError)
+    assert (err.row, err.column, err.value) == where
+    assert f"row {where[0]}, column {where[1]}" in str(err) and repr(where[2]) in str(err)
+
+
+def test_inexact_scale_factor_raises():
+    with pytest.raises(NotAnInteger, match="2.5"):
+        IntMatrix([[1, 3]]).scale(2.5)
+
+
+def test_integer_like_entries_become_ints():
+    m = IntMatrix([[True, ZZ(4)], [3, 2**70]])
+    assert m.rows == ((1, 4), (3, 2**70))
+    assert all(type(x) is int for r in m.rows for x in r)
+    assert IntMatrix([[1, 2]]).scale(True) == IntMatrix([[1, 2]])
