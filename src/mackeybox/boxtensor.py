@@ -10,8 +10,11 @@ any slot to the transfer class of its restriction.
 
 Every generator of the result carries a label (a pure tuple or a transfer
 class tuple).  Maps out of box products (permutations, twists, face and
-degeneracy contractions, pairings) are written down on labels and then
-checked, as data, to send relations to relations and to commute with
+degeneracy contractions, pairings) are written down on labels: each one
+gives the images of the pure labels and of the bottom labels, and since
+transfer class k is tr(bottom generator k), the transfer block of the top
+matrix is ``target.tr`` composed with the bottom matrix.  The result is
+then checked, as data, to send relations to relations and to commute with
 transfer, restriction and the action.  Composites, sums and multiples of
 these maps are maps by construction and are not checked again (README,
 "Where maps are checked").
@@ -69,9 +72,6 @@ class BoxProduct:
     @property
     def prime(self):
         return self.result.prime
-
-    def pure_count(self):
-        return sum(1 for lbl in self.top_labels if lbl[0] == "pure")
 
 
 def _tensor_many(presentations):
@@ -261,13 +261,9 @@ def map_from_pairing(pairing: BilinearPairing, bp: BoxProduct | None = None) -> 
     if bp is None:
         bp = box(pairing.m, pairing.n)
     assert bp.factors == (pairing.m, pairing.n)
-    L = pairing.target
-    top_cols = [
-        pairing.top_product(*tup) if kind == "pure" else L.tr(pairing.bot_product(*tup))
-        for kind, tup in bp.top_labels
-    ]
+    pure_cols = [pairing.top_product(*tup) for tup in _pure_tuples(bp)]
     bot_cols = [pairing.bot_product(*tup) for tup in bp.bot_labels]
-    return _map_from_columns(bp, L, top_cols, bot_cols)
+    return _map_from_columns(bp, pairing.target, pure_cols, bot_cols)
 
 
 def _flat_index(tup, dims):
@@ -277,18 +273,26 @@ def _flat_index(tup, dims):
     return idx
 
 
-def _map_from_columns(bp, target, top_cols, bot_cols):
-    f_top = AbHom(
-        bp.result.top,
-        target.top,
-        IntMatrix.from_columns(top_cols, target.top.num_generators),
+def _pure_tuples(bp: BoxProduct):
+    """Generator tuples of the pure top labels of ``bp``, in order."""
+    return [tup for kind, tup in bp.top_labels if kind == "pure"]
+
+
+def _map_from_columns(src, target, pure_cols, bot_cols):
+    """The map out of ``src`` with the given images of its pure and bottom
+    generators.  Transfer class k of ``src`` is tr(bottom generator k), so
+    its image is the transfer of bottom image k: the top matrix ends with
+    the block ``target.tr.matrix @ f_bot``."""
+    f_bot = IntMatrix.from_columns(bot_cols, target.bottom.num_generators)
+    f_top = IntMatrix.from_columns(pure_cols, target.top.num_generators)
+    if src.arity > 1:
+        f_top = f_top.hstack(target.tr.matrix @ f_bot)
+    return MackeyMap(
+        src.result,
+        target,
+        AbHom(src.result.top, target.top, f_top),
+        AbHom(src.result.bottom, target.bottom, f_bot),
     )
-    f_bot = AbHom(
-        bp.result.bottom,
-        target.bottom,
-        IntMatrix.from_columns(bot_cols, target.bottom.num_generators),
-    )
-    return MackeyMap(bp.result, target, f_top, f_bot)
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +304,22 @@ def box_map(src: BoxProduct, dst: BoxProduct, maps) -> MackeyMap:
     assert src.arity == dst.arity == len(maps)
     for f, sf, df in zip(maps, src.factors, dst.factors):
         assert f.source == sf and f.target == df
-    top_cols = []
-    for lbl in src.top_labels:
-        kind, tup = lbl
-        if kind == "pure":
-            vecs = [maps[i].f_top.matrix.column(t) for i, t in enumerate(tup)]
-            top_cols.append(_embed_pure(dst, _tuple_vectors(vecs)))
-        else:
-            vecs = [maps[i].f_bot.matrix.column(t) for i, t in enumerate(tup)]
-            top_cols.append(_embed_tr(dst, _tuple_vectors(vecs)))
-    bot_cols = []
-    for tup in src.bot_labels:
-        vecs = [maps[i].f_bot.matrix.column(t) for i, t in enumerate(tup)]
-        bot_cols.append(_tuple_vectors(vecs))
-    return _map_from_columns(src, dst.result, top_cols, bot_cols)
+    pure_cols = [
+        _embed_pure(dst, _tuple_vectors([f.f_top.matrix.column(t) for f, t in zip(maps, tup)]))
+        for tup in _pure_tuples(src)
+    ]
+    bot_cols = [
+        _tuple_vectors([f.f_bot.matrix.column(t) for f, t in zip(maps, tup)])
+        for tup in src.bot_labels
+    ]
+    return _map_from_columns(src, dst.result, pure_cols, bot_cols)
 
 
 def _embed_pure(bp: BoxProduct, pure_vec):
     """Pure-tensor coordinates into the top generator space of ``bp``."""
     if bp.arity == 1:
         return pure_vec
-    n_tr = len(bp.top_labels) - bp.pure_count()
-    return tuple(pure_vec) + (0,) * n_tr
-
-
-def _embed_tr(bp: BoxProduct, bot_vec):
-    """Transfer class of a bottom-tensor vector, in top coordinates."""
-    if bp.arity == 1:
-        return bp.result.tr(bot_vec)
-    n_pure = bp.pure_count()
-    return (0,) * n_pure + tuple(bot_vec)
+    return tuple(pure_vec) + (0,) * len(bp.bot_labels)
 
 
 def permute_twist(src: BoxProduct, dst: BoxProduct, perm, twists) -> MackeyMap:
@@ -343,21 +333,15 @@ def permute_twist(src: BoxProduct, dst: BoxProduct, perm, twists) -> MackeyMap:
     twists = [t % p for t in twists]
     top_units = [IntMatrix.identity(f.top.num_generators).rows for f in dst.factors]
     weyl_pows = [dst.factors[s].weyl.matrix.power(twists[s]) for s in range(dst.arity)]
-
-    def bot_image(tup):
-        vecs = [weyl_pows[s].column(tup[perm[s]]) for s in range(dst.arity)]
-        return _tuple_vectors(vecs)
-
-    top_cols = []
-    for lbl in src.top_labels:
-        kind, tup = lbl
-        if kind == "pure":
-            vecs = [top_units[s][tup[perm[s]]] for s in range(dst.arity)]
-            top_cols.append(_embed_pure(dst, _tuple_vectors(vecs)))
-        else:
-            top_cols.append(_embed_tr(dst, bot_image(tup)))
-    bot_cols = [bot_image(tup) for tup in src.bot_labels]
-    return _map_from_columns(src, dst.result, top_cols, bot_cols)
+    pure_cols = [
+        _embed_pure(dst, _tuple_vectors([top_units[s][tup[perm[s]]] for s in range(dst.arity)]))
+        for tup in _pure_tuples(src)
+    ]
+    bot_cols = [
+        _tuple_vectors([weyl_pows[s].column(tup[perm[s]]) for s in range(dst.arity)])
+        for tup in src.bot_labels
+    ]
+    return _map_from_columns(src, dst.result, pure_cols, bot_cols)
 
 
 def swap_map(bp_mn: BoxProduct, bp_nm: BoxProduct) -> MackeyMap:
@@ -386,14 +370,11 @@ def contract_pair(src: BoxProduct, i, pairing: BilinearPairing, dst: BoxProduct)
                 s += 1
         return _tuple_vectors(vecs)
 
-    top_cols = [
-        _embed_pure(dst, image(tup, top_units, pairing.top_product))
-        if kind == "pure"
-        else _embed_tr(dst, image(tup, bot_units, pairing.bot_product))
-        for kind, tup in src.top_labels
+    pure_cols = [
+        _embed_pure(dst, image(tup, top_units, pairing.top_product)) for tup in _pure_tuples(src)
     ]
     bot_cols = [image(tup, bot_units, pairing.bot_product) for tup in src.bot_labels]
-    return _map_from_columns(src, dst.result, top_cols, bot_cols)
+    return _map_from_columns(src, dst.result, pure_cols, bot_cols)
 
 
 def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing: BilinearPairing,
@@ -439,15 +420,9 @@ def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing
             vecs.append(tuple(one_bot) if cur is None else tuple(cur))
         return vecs
 
-    top_cols = []
-    for lbl in src.top_labels:
-        kind, tup = lbl
-        if kind == "pure":
-            top_cols.append(_embed_pure(dst, _tuple_vectors(fold_top(tup))))
-        else:
-            top_cols.append(_embed_tr(dst, _tuple_vectors(fold_bot(tup))))
+    pure_cols = [_embed_pure(dst, _tuple_vectors(fold_top(tup))) for tup in _pure_tuples(src)]
     bot_cols = [_tuple_vectors(fold_bot(tup)) for tup in src.bot_labels]
-    return _map_from_columns(src, dst.result, top_cols, bot_cols)
+    return _map_from_columns(src, dst.result, pure_cols, bot_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -487,58 +462,35 @@ def nested_to_flat(outer: BoxProduct, inner: BoxProduct, side, flat: BoxProduct)
         assert flat.factors == (m1,) + inner.factors
 
     top_dims = [f.top.num_generators for f in flat.factors]
+    bot_dims = [f.bottom.num_generators for f in flat.factors]
+    other_factor = outer.factors[1] if side == "left" else outer.factors[0]
 
-    def split_inner_top(g):
-        return inner.top_labels[g]
+    def split(tup):
+        """(inner generator, other generator) of an outer label tuple."""
+        return (tup[0], tup[1]) if side == "left" else (tup[1], tup[0])
 
-    def bot_expand(inner_tup, other_j):
-        if side == "left":
-            return inner_tup + (other_j,)
-        return (other_j,) + inner_tup
+    def flat_tuple(inner_tup, other):
+        return inner_tup + (other,) if side == "left" else (other,) + inner_tup
 
-    top_cols = []
-    for lbl in outer.top_labels:
-        kind, tup = lbl
-        if kind == "tr":
-            inner_bot, other = (
-                (inner.bot_labels[tup[0]], tup[1])
-                if side == "left"
-                else (inner.bot_labels[tup[1]], tup[0])
-            )
-            flat_tup = bot_expand(inner_bot, other)
-            vec = [0] * len(flat.bot_labels)
-            vec[flat.bot_labels.index(flat_tup)] = 1
-            top_cols.append(_embed_tr(flat, tuple(vec)))
-            continue
-        g, c = (tup[0], tup[1]) if side == "left" else (tup[1], tup[0])
-        ikind, ituple = split_inner_top(g)
+    pure_cols = []
+    for g, c in map(split, _pure_tuples(outer)):
+        ikind, ituple = inner.top_labels[g]
         if ikind == "pure":
-            flat_tup = ituple + (c,) if side == "left" else (c,) + ituple
             vec = [0] * (top_dims[0] * top_dims[1] * top_dims[2])
-            vec[_flat_index(flat_tup, top_dims)] = 1
-            top_cols.append(_embed_pure(flat, tuple(vec)))
+            vec[_flat_index(flat_tuple(ituple, c), top_dims)] = 1
+            pure_cols.append(_embed_pure(flat, vec))
         else:
             # tr(z) (x) c = tr(z (x) res c): land in the flat transfer block
-            other_factor = outer.factors[1] if side == "left" else outer.factors[0]
-            res_col = other_factor.res.matrix.column(c)
             acc = [0] * len(flat.bot_labels)
-            for w, coef in enumerate(res_col):
-                if coef:
-                    flat_tup = bot_expand(ituple, w)
-                    acc[flat.bot_labels.index(flat_tup)] += coef
-            top_cols.append(_embed_tr(flat, tuple(acc)))
+            for w, coef in enumerate(other_factor.res.matrix.column(c)):
+                acc[_flat_index(flat_tuple(ituple, w), bot_dims)] += coef
+            pure_cols.append(flat.result.tr(acc))
     bot_cols = []
-    for tup in outer.bot_labels:
-        inner_bot, other = (
-            (inner.bot_labels[tup[0]], tup[1])
-            if side == "left"
-            else (inner.bot_labels[tup[1]], tup[0])
-        )
-        flat_tup = bot_expand(inner_bot, other)
+    for g, c in map(split, outer.bot_labels):
         vec = [0] * len(flat.bot_labels)
-        vec[flat.bot_labels.index(flat_tup)] = 1
-        bot_cols.append(tuple(vec))
-    return _map_from_columns(outer, flat.result, top_cols, bot_cols)
+        vec[_flat_index(flat_tuple(inner.bot_labels[g], c), bot_dims)] = 1
+        bot_cols.append(vec)
+    return _map_from_columns(outer, flat.result, pure_cols, bot_cols)
 
 
 def invert_iso(m: MackeyMap) -> MackeyMap:

@@ -124,28 +124,6 @@ class BoxWindow:
         return {"kind": "box", "a": self.a_bound, "m": self.m_bound}
 
 
-@dataclass(frozen=True)
-class RhoLineWindow:
-    """Multiples of the regular representation, 0 <= w <= w_max."""
-
-    prime: int
-    w_max: int
-
-    def degrees(self):
-        rho = RODegree.regular(self.prime)
-        return [rho.scale(w) for w in range(self.w_max + 1)]
-
-    def contains(self, deg):
-        rho = RODegree.regular(self.prime)
-        for w in range(self.w_max + 1):
-            if rho.scale(w) == deg:
-                return True
-        return False
-
-    def to_json(self):
-        return {"kind": "rho_line", "w_max": self.w_max}
-
-
 # ---------------------------------------------------------------------------
 # homotopy of Eilenberg-Mac Lane spectra of Mackey fields
 

@@ -54,54 +54,23 @@ class SimplicialGSet:
         return self
 
     def identity_failures(self):
-        out = []
-        N = self.truncation
-        f, s = self.faces, self.degeneracies
-        for n in range(2, N + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    # d_i d_j = d_{j-1} d_i for i < j
-                    for x in range(self.size(n)):
-                        if f[n - 1][i][f[n][j][x]] != f[n - 1][j - 1][f[n][i][x]]:
-                            out.append(f"d{i} d{j} at level {n} on {self.label(n, x)}")
-        for n in range(0, N - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    # s_i s_j = s_{j+1} s_i for i <= j
-                    for x in range(self.size(n)):
-                        if s[n + 1][i][s[n][j][x]] != s[n + 1][j + 1][s[n][i][x]]:
-                            out.append(f"s{i} s{j} at level {n}")
-        for n in range(0, N):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    for x in range(self.size(n)):
-                        lhs = f[n + 1][i][s[n][j][x]]
-                        if i < j:
-                            rhs = s[n - 1][j - 1][f[n][i][x]] if n >= 1 else None
-                        elif i in (j, j + 1):
-                            rhs = x
-                        else:
-                            rhs = s[n - 1][j][f[n][i - 1][x]] if n >= 1 else None
-                        if rhs is not None and lhs != rhs:
-                            out.append(f"d{i} s{j} at level {n}")
+        out = _identity_failures(
+            self.truncation,
+            lambda n, i: self.faces[n][i],
+            lambda n, i: self.degeneracies[n][i],
+            _compose,
+            lambda lhs, rhs, n: _first_difference(self, n, lhs, rhs),
+            lambda n: list(range(self.size(n))),
+        )
         # action is simplicial and has the right order
-        for n in range(N + 1):
+        for n in range(self.truncation + 1):
             a = self.action[n]
             pow_ = list(range(self.size(n)))
             for _ in range(self.order):
                 pow_ = [a[x] for x in pow_]
             if pow_ != list(range(self.size(n))):
                 out.append(f"action order at level {n}")
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                for x in range(self.size(n)):
-                    if f[n][i][self.action[n][x]] != self.action[n - 1][f[n][i][x]]:
-                        out.append(f"action vs d{i} at level {n}")
-        for n in range(0, N):
-            for i in range(n + 1):
-                for x in range(self.size(n)):
-                    if s[n][i][self.action[n][x]] != self.action[n + 1][s[n][i][x]]:
-                        out.append(f"action vs s{i} at level {n}")
+        out.extend("action vs " + fail for fail in _naturality_failures(self, self, self.action))
         return out
 
     def action_is_free(self):
@@ -161,6 +130,84 @@ def _orbit_hits(a, x, k):
     for _ in range(k):
         y = a[y]
     return y == x
+
+
+def _compose(g, f):
+    """The index list of g after f."""
+    return [g[v] for v in f]
+
+
+def _first_difference(x, n, lhs, rhs):
+    """None when the index lists ``lhs`` and ``rhs`` on level n of ``x``
+    agree, else text naming the first simplex where they differ."""
+    if lhs == rhs:
+        return None
+    v = next(v for v, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return f" on {x.label(n, v)}"
+
+
+def _identity_failures(top, face, degeneracy, compose, witness, identity):
+    """The simplicial identities that fail up to level ``top``.
+
+    ``face(n, i)`` and ``degeneracy(n, i)`` are the maps out of level n,
+    ``compose(g, f)`` is g after f, ``identity(n)`` is the identity of level
+    n, and ``witness(lhs, rhs, n)`` is None when two maps out of level n
+    agree, else text naming where they differ.  Each failure reads
+    "d{i} d{j} at level {n}", "s{i} s{j} at level {n}" or
+    "d{i} s{j} at level {n}", followed by its witness.
+    """
+    out = []
+
+    def check(name, n, lhs, rhs):
+        w = witness(lhs, rhs, n)
+        if w is not None:
+            out.append(f"{name} at level {n}{w}")
+
+    for n in range(2, top + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                # d_i d_j = d_{j-1} d_i for i < j
+                lhs = compose(face(n - 1, i), face(n, j))
+                check(f"d{i} d{j}", n, lhs, compose(face(n - 1, j - 1), face(n, i)))
+    for n in range(top - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                # s_i s_j = s_{j+1} s_i for i <= j
+                lhs = compose(degeneracy(n + 1, i), degeneracy(n, j))
+                check(f"s{i} s{j}", n, lhs, compose(degeneracy(n + 1, j + 1), degeneracy(n, i)))
+    for n in range(top):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                # d_i s_j is s_{j-1} d_i for i < j, the identity for i = j, j+1,
+                # and s_j d_{i-1} for i > j+1
+                lhs = compose(face(n + 1, i), degeneracy(n, j))
+                if i < j:
+                    rhs = compose(degeneracy(n - 1, j - 1), face(n, i))
+                elif i <= j + 1:
+                    rhs = identity(n)
+                else:
+                    rhs = compose(degeneracy(n - 1, j), face(n, i - 1))
+                check(f"d{i} s{j}", n, lhs, rhs)
+    return out
+
+
+def _naturality_failures(source, target, phi):
+    """Faces and degeneracies of ``source`` that the level maps ``phi`` (one
+    index list per level, into ``target``) do not commute with, each read
+    "d{i} at level {n}" or "s{i} at level {n}" with its first simplex."""
+    out = []
+    top = source.truncation
+    for name, source_ops, target_ops, step, levels in (
+        ("d", source.faces, target.faces, -1, range(1, top + 1)),
+        ("s", source.degeneracies, target.degeneracies, 1, range(top)),
+    ):
+        for n in levels:
+            for i in range(n + 1):
+                lhs = _compose(target_ops[n][i], phi[n])
+                w = _first_difference(source, n, lhs, _compose(phi[n + step], source_ops[n][i]))
+                if w is not None:
+                    out.append(f"{name}{i} at level {n}{w}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +340,10 @@ class SimplicialMap:
     mapping: list  # per level, list of target indices
 
     def validate(self, equivariant=True):
-        s, t = self.source, self.target
-        assert s.truncation <= t.truncation
-        for n in range(1, s.truncation + 1):
-            for i in range(n + 1):
-                for v in range(s.size(n)):
-                    if t.faces[n][i][self.mapping[n][v]] != self.mapping[n - 1][s.faces[n][i][v]]:
-                        raise ValueError(f"not simplicial: d{i} at level {n}")
-        for n in range(s.truncation):
-            for i in range(n + 1):
-                for v in range(s.size(n)):
-                    if (
-                        t.degeneracies[n][i][self.mapping[n][v]]
-                        != self.mapping[n + 1][s.degeneracies[n][i][v]]
-                    ):
-                        raise ValueError(f"not simplicial: s{i} at level {n}")
+        assert self.source.truncation <= self.target.truncation
+        fails = _naturality_failures(self.source, self.target, self.mapping)
+        if fails:
+            raise ValueError(f"not simplicial: {fails[0]}")
         if equivariant:
             fails = self.equivariance_failures()
             if fails:
@@ -521,74 +557,64 @@ def triple_wedge_rebracket(p, truncation):
 # the pinch candidate and the missing counit
 
 
+def _find(parent, v):
+    """Root of v in the union-find forest ``parent``; each root is the least
+    element of its class."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _union(parent, a, b):
+    """Merge the classes of a and b; True when they were different."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
 def _congruence_quotient(x: SimplicialGSet, vertex_pairs):
     """Quotient by the simplicial congruence generated by vertex identifications."""
     parent = [list(range(x.size(n))) for n in range(x.truncation + 1)]
-
-    def find(n, v):
-        while parent[n][v] != v:
-            parent[n][v] = parent[n][parent[n][v]]
-            v = parent[n][v]
-        return v
-
-    def union(n, a, b):
-        ra, rb = find(n, a), find(n, b)
-        if ra != rb:
-            parent[n][max(ra, rb)] = min(ra, rb)
-            return True
-        return False
-
     for a, b in vertex_pairs:
-        union(0, a, b)
+        _union(parent[0], a, b)
+    # propagate until every simplex has the degeneracy and face images of its
+    # class root; then equal classes have equal images
     changed = True
     while changed:
         changed = False
-        # propagate identifications along degeneracies, then faces
-        for n in range(x.truncation):
-            for v in range(x.size(n)):
-                for w in range(x.size(n)):
-                    if find(n, v) == find(n, w):
-                        for i in range(n + 1):
-                            if union(n + 1, x.degeneracies[n][i][v], x.degeneracies[n][i][w]):
-                                changed = True
-        for n in range(1, x.truncation + 1):
-            for v in range(x.size(n)):
-                for w in range(x.size(n)):
-                    if find(n, v) == find(n, w):
-                        for i in range(n + 1):
-                            if union(n - 1, x.faces[n][i][v], x.faces[n][i][w]):
-                                changed = True
+        for ops, step, levels in (
+            (x.degeneracies, 1, range(x.truncation)),
+            (x.faces, -1, range(1, x.truncation + 1)),
+        ):
+            for n in levels:
+                for v in range(x.size(n)):
+                    r = _find(parent[n], v)
+                    if r != v:
+                        for op in ops[n]:
+                            changed |= _union(parent[n + step], op[v], op[r])
 
+    # classes are numbered in the order of their roots
     reps = []
-    index_of = []
-    for n in range(x.truncation + 1):
-        rep_list = sorted({find(n, v) for v in range(x.size(n))})
-        reps.append(rep_list)
-        index_of.append({r: i for i, r in enumerate(rep_list)})
-    levels = [[x.label(n, r) for r in reps[n]] for n in range(x.truncation + 1)]
-    faces = [None]
-    for n in range(1, x.truncation + 1):
-        faces.append(
-            [
-                [index_of[n - 1][find(n - 1, x.faces[n][i][r])] for r in reps[n]]
-                for i in range(n + 1)
-            ]
-        )
-    degeneracies = []
-    for n in range(x.truncation):
-        degeneracies.append(
-            [
-                [index_of[n + 1][find(n + 1, x.degeneracies[n][i][r])] for r in reps[n]]
-                for i in range(n + 1)
-            ]
-        )
-    action = [
-        [index_of[n][find(n, x.action[n][r])] for r in reps[n]] for n in range(x.truncation + 1)
+    number = []
+    for n, forest in enumerate(parent):
+        roots = [_find(forest, v) for v in range(x.size(n))]
+        reps.append(sorted(set(roots)))
+        index_of = {r: k for k, r in enumerate(reps[n])}
+        number.append([index_of[r] for r in roots])
+    top = x.truncation
+    levels = [[x.label(n, r) for r in reps[n]] for n in range(top + 1)]
+    faces = [None] + [
+        [[number[n - 1][op[r]] for r in reps[n]] for op in x.faces[n]] for n in range(1, top + 1)
     ]
-    q = SimplicialGSet(x.order, x.truncation, levels, faces, degeneracies, action).validate()
-    qmap = SimplicialMap(
-        x, q, [[index_of[n][find(n, v)] for v in range(x.size(n))] for n in range(x.truncation + 1)]
-    ).validate()
+    degeneracies = [
+        [[number[n + 1][op[r]] for r in reps[n]] for op in x.degeneracies[n]] for n in range(top)
+    ]
+    action = [[number[n][x.action[n][r]] for r in reps[n]] for n in range(top + 1)]
+    q = SimplicialGSet(x.order, top, levels, faces, degeneracies, action).validate()
+    qmap = SimplicialMap(x, q, number).validate()
     return q, qmap
 
 
@@ -712,19 +738,9 @@ def no_equivariant_collapse(p, truncation=2):
     orbit = discrete_orbit(p, truncation)
     # connectivity of the circle through its edges
     parent = list(range(circle.size(0)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for e in range(circle.size(1)):
-        a = find(circle.faces[1][0][e])
-        b = find(circle.faces[1][1][e])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    connected = len({find(v) for v in range(circle.size(0))}) == 1
+        _union(parent, circle.faces[1][0][e], circle.faces[1][1][e])
+    connected = len({_find(parent, v) for v in range(circle.size(0))}) == 1
     orbit_fixed_points = [
         j for j in range(p) if orbit.action[0][j] == j
     ]
@@ -792,36 +808,14 @@ class SimplicialMackey:
         return self.levels[k]
 
     def identity_failures(self):
-        out = []
-        f = self.faces
-        for n in range(2, self.truncation + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = f[(n - 1, i)].compose(f[(n, j)])
-                    rhs = f[(n - 1, j - 1)].compose(f[(n, i)])
-                    if not lhs.equals(rhs):
-                        out.append(f"d{i} d{j} at level {n}")
-        s = self.degeneracies
-        for n in range(self.truncation - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    if not s[(n + 1, i)].compose(s[(n, j)]).equals(
-                        s[(n + 1, j + 1)].compose(s[(n, i)])
-                    ):
-                        out.append(f"s{i} s{j} at level {n}")
-        for n in range(self.truncation):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = f[(n + 1, i)].compose(s[(n, j)])
-                    if i < j:
-                        rhs = s[(n - 1, j - 1)].compose(f[(n, i)]) if n >= 1 else None
-                    elif i in (j, j + 1):
-                        rhs = identity_map(self.levels[n].result)
-                    else:
-                        rhs = s[(n - 1, j)].compose(f[(n, i - 1)]) if n >= 1 else None
-                    if rhs is not None and not lhs.equals(rhs):
-                        out.append(f"d{i} s{j} at level {n}")
-        return out
+        return _identity_failures(
+            self.truncation,
+            lambda n, i: self.faces[(n, i)],
+            lambda n, i: self.degeneracies[(n, i)],
+            lambda g, f: g.compose(f),
+            lambda lhs, rhs, n: None if lhs.equals(rhs) else "",
+            lambda n: identity_map(self.levels[n].result),
+        )
 
     def to_json(self):
         return {
@@ -871,13 +865,13 @@ def tensor_green_with_circle(green, circle: SimplicialGSet, truncation) -> Simpl
     degeneracies = {}
     for k in range(1, truncation + 1):
         for i in range(k + 1):
-            assign = _face_assignment(circle, k, i)
+            assign = _orbit_assignment(circle, k, circle.faces[k][i], k - 1)
             faces[(k, i)] = contract_by_assignment(
                 levels[k], levels[k - 1], assign, green.mult, one_top, one_bot
             )
     for k in range(truncation):
         for i in range(k + 1):
-            assign = _degeneracy_assignment(circle, k, i)
+            assign = _orbit_assignment(circle, k, circle.degeneracies[k][i], k + 1)
             degeneracies[(k, i)] = contract_by_assignment(
                 levels[k], levels[k + 1], assign, green.mult, one_top, one_bot
             )
@@ -887,23 +881,15 @@ def tensor_green_with_circle(green, circle: SimplicialGSet, truncation) -> Simpl
     return sm
 
 
-def _face_assignment(circle, k, i):
+def _orbit_assignment(circle, k, op, level):
+    """Slot assignment of the contraction induced by ``op``, a face or
+    degeneracy from level k to ``level`` of the circle: orbit j of level k
+    goes to the orbit of its image, twisted by the action power that takes
+    that orbit's representative to the image."""
     src_reps = circle.orbit_representatives(k)
-    tgt_reps = circle.orbit_representatives(k - 1)
+    tgt_reps = circle.orbit_representatives(level)
     out = {s: [] for s in range(len(tgt_reps))}
     for j, rep in enumerate(src_reps):
-        img = circle.faces[k][i][rep]
-        tgt_rep, twist = _decompose_at(circle, k - 1, img)
-        out[tgt_reps.index(tgt_rep)].append((j, twist))
-    return out
-
-
-def _degeneracy_assignment(circle, k, i):
-    src_reps = circle.orbit_representatives(k)
-    tgt_reps = circle.orbit_representatives(k + 1)
-    out = {s: [] for s in range(len(tgt_reps))}
-    for j, rep in enumerate(src_reps):
-        img = circle.degeneracies[k][i][rep]
-        tgt_rep, twist = _decompose_at(circle, k + 1, img)
+        tgt_rep, twist = _decompose_at(circle, level, op[rep])
         out[tgt_reps.index(tgt_rep)].append((j, twist))
     return out

@@ -103,7 +103,7 @@ def test_frobenius_relations_vanish():
     ]
     for m, n in pairs:
         bp = box(m, n)
-        n_pure = bp.pure_count()
+        n_pure = len(bp.top_labels) - len(bp.bot_labels)
         for a in range(m.top.num_generators):
             for y in range(n.bottom.num_generators):
                 vec = [0] * bp.result.top.num_generators

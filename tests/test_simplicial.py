@@ -3,6 +3,8 @@ import pytest
 from mackeybox.errors import InsufficientTruncation, NotFreeAction
 from mackeybox.green import constant_green, f4_frobenius_green, field_top_green
 from mackeybox.simplicial import (
+    SimplicialGSet,
+    SimplicialMackey,
     SimplicialMap,
     circle_orbit_inclusion,
     circle_wedge,
@@ -97,6 +99,50 @@ def test_corrupted_face_detected():
     s.faces[1][0][1] = s.faces[1][0][1] ^ 1  # flip one image
     fails = s.identity_failures() or verify_last_face_identity(s)
     assert fails
+
+
+def _copy(x):
+    return SimplicialGSet(
+        x.order,
+        x.truncation,
+        x.levels,
+        [None] + [[list(op) for op in lvl] for lvl in x.faces[1:]],
+        [[list(op) for op in lvl] for lvl in x.degeneracies],
+        [list(a) for a in x.action],
+        x.cyclic,
+    )
+
+
+def test_corrupted_degeneracy_named_with_first_simplex():
+    # level 2 of the standard circle is g0, g1, g2 and d0 sends it to g0, g0, g1;
+    # sending g1 to g1 instead of g2 under s0 breaks d0 s0 = id on g1 only
+    s = _copy(standard_circle(2))
+    s.degeneracies[1][0][1] = 1
+    fails = s.identity_failures()
+    assert "d0 s0 at level 1 on g1" in fails
+    assert all(f.endswith(" on g1") for f in fails)
+    with pytest.raises(ValueError, match="d0 s0 at level 1 on g1"):
+        s.validate()
+
+
+def test_non_simplicial_action_named_with_first_simplex():
+    # the trivial action on the edges has order dividing 2, but the faces of
+    # a fixed edge land on two vertices that the rotation swaps
+    s = _copy(p_circle(2, 1))
+    s.action[1] = list(range(s.size(1)))
+    fails = s.identity_failures()
+    assert "action vs d0 at level 1 on g0" in fails
+    assert "action vs s0 at level 0 on g0" in fails
+    assert not any(f.startswith("action order") for f in fails)
+
+
+def test_non_natural_map_names_the_face():
+    # swapping the two vertices but fixing every edge breaks d0 on the first edge
+    c = p_circle(2, 1)
+    mapping = identity_simplicial_map(c).mapping
+    mapping[0] = [1, 0]
+    with pytest.raises(ValueError, match="not simplicial: d0 at level 1 on g0"):
+        SimplicialMap(c, c, mapping).validate(equivariant=False)
 
 
 def test_insufficient_truncation():
@@ -257,3 +303,15 @@ def test_tensor_green_level0_face_pair_has_twist():
     g4 = f4_frobenius_green()
     sm4 = tensor_green_with_circle(g4, circle, 2)
     assert not sm4.faces[(1, 0)].equals(sm4.faces[(1, 1)])  # twist is visible
+
+
+def test_swapped_faces_fail_mackey_identities():
+    # with d0 and d1 out of level 2 swapped, d0 d2 = d1 d0 compares d0 d2 with
+    # d1 d2, and d0 s1 = s0 d0 compares the identity with s0 d0; d2 is split
+    # by s1 and d0 != d1 for the twisted F_4 ring, so both fail
+    sm = tensor_green_with_circle(f4_frobenius_green(), p_circle(2, 2), 2)
+    faces = dict(sm.faces)
+    faces[(2, 0)], faces[(2, 1)] = sm.faces[(2, 1)], sm.faces[(2, 0)]
+    fails = SimplicialMackey(sm.truncation, sm.levels, faces, sm.degeneracies).identity_failures()
+    assert "d0 d2 at level 2" in fails
+    assert "d0 s1 at level 1" in fails
