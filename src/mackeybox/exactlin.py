@@ -391,6 +391,8 @@ class FiniteModel:
 
     ``to_canonical`` maps a generator-coordinate vector to its tuple of
     residues in the cyclic decomposition; ``from_canonical`` lifts back.
+    The elements are numbered once: ``elements`` lists their canonical
+    coordinates and ``index`` maps coordinates back to positions.
     """
 
     pres: FGAbPresentation
@@ -405,8 +407,17 @@ class FiniteModel:
     def from_canonical(self, coords):
         return _apply(self.u_inv, coords)
 
+    @cached_property
     def elements(self):
-        return [tuple(t) for t in product(*(range(d) for d in self.moduli))]
+        """Every element's canonical coordinates, in lexicographic order.
+        Built on first use and kept in the instance ``__dict__``, outside
+        equality and hashing, like ``index``."""
+        return tuple(product(*(range(d) for d in self.moduli)))
+
+    @cached_property
+    def index(self):
+        """Canonical coordinates -> position in ``elements``."""
+        return {c: i for i, c in enumerate(self.elements)}
 
     def add(self, c1, c2):
         return tuple((a + b) % d for a, b, d in zip(c1, c2, self.moduli))
@@ -426,48 +437,91 @@ def finite_model(pres: FGAbPresentation) -> FiniteModel:
     return pres._model
 
 
-def _cyclic(model: FiniteModel, g):
-    """The cyclic subgroup generated by canonical coordinates ``g``."""
-    seen = {model.zero()}
-    cur = g
-    while cur not in seen:
-        seen.add(cur)
-        cur = model.add(cur, g)
-    return frozenset(seen)
-
-
 def subgroup_key(model: FiniteModel, elements):
-    """Deterministic Hermite-form key for a subgroup given by canonical coords."""
-    rows = [model.from_canonical(c) for c in sorted(elements)]
+    """Deterministic Hermite-form key of the subgroup generated by the given
+    canonical coordinates: the subgroup's elements or any generating set of
+    it give the same key."""
+    rows = [model.from_canonical(c) for c in elements]
     rows.extend(model.pres.relations.rows)
     return hermite_row_basis(rows, model.pres.num_generators)
+
+
+def _lattice(model: FiniteModel, orbits):
+    """Every sum of the subgroups spanned by ``orbits`` (tuples of element
+    positions in ``model``), as frozensets of positions in Hermite-key order.
+
+    With one-element orbits this is the subgroup lattice, since every
+    subgroup is a sum of cyclic subgroups.  With the orbits x, g(x),
+    g(g(x)), ... of an endomorphism g it is the lattice of g-stable
+    subgroups, since each is a sum of cyclic submodules.  The lattice grows
+    from {0} by joining each orbit's span onto each newly found set.
+    Joining S + <x> walks the cosets S + x, S + 2x, ... through a
+    translation table e -> e + x until one falls back into the join, so it
+    costs one lookup per element of the result.  Positions name elements
+    uniquely, so a frozenset of positions names its subgroup and
+    deduplicates by itself.  Each set keeps the generators it was joined
+    from, and its Hermite key, computed from those few, serves only to sort.
+    """
+    elements, index, add = model.elements, model.index, model.add
+    origin = index[model.zero()]
+    atoms = {}
+    for orbit in orbits:
+        # each orbit is spanned once, by closure under adding its elements;
+        # only the generators of distinct spans get a translation table
+        span, todo = {origin}, [origin]
+        while todo:
+            e = elements[todo.pop()]
+            for x in orbit:
+                y = index[add(e, elements[x])]
+                if y not in span:
+                    span.add(y)
+                    todo.append(y)
+        atoms.setdefault(frozenset(span), orbit)
+    tables = {}
+
+    def join(s, gens):
+        """(S + span(gens), the generators that were not yet in it)."""
+        joined = set(s)
+        used = []
+        for x in gens:
+            if x in joined:
+                continue
+            table = tables.get(x)
+            if table is None:
+                table = tables[x] = [index[add(e, elements[x])] for e in elements]
+            used.append(x)
+            coset = list(joined)
+            while table[coset[0]] not in joined:
+                coset = [table[e] for e in coset]
+                joined.update(coset)
+        return frozenset(joined), used
+
+    zero = frozenset([origin])
+    found = {zero: []}
+    frontier = [zero]
+    while frontier:
+        grown = []
+        for s in frontier:
+            for gens in atoms.values():
+                if all(x in s for x in gens):
+                    continue
+                joined, used = join(s, gens)
+                if joined not in found:
+                    found[joined] = found[s] + used
+                    grown.append(joined)
+        frontier = grown
+    return sorted(found, key=lambda s: subgroup_key(model, [elements[x] for x in found[s]]))
 
 
 def enumerate_subgroups(model: FiniteModel):
     """All subgroups as frozensets of canonical coordinates, Hermite-sorted.
 
-    Every subgroup is a sum of cyclic subgroups, so the lattice grows from
-    {0}: each cyclic subgroup C is joined onto each newly found subgroup S as
-    the set S + C, unless C already lies in S.  Canonical coordinates are
-    unique residues, so a frozenset names its subgroup and deduplicates by
-    itself; the Hermite key is computed once per subgroup, only to sort.
+    The lattice of spans of single elements, that is of cyclic subgroups
+    (``_lattice``), translated from element positions to coordinates.
     """
-    add = model.add
-    cyclic = {_cyclic(model, g) for g in model.elements()}
-    found = {frozenset([model.zero()])}
-    frontier = list(found)
-    while frontier:
-        grown = []
-        for s in frontier:
-            for c in cyclic:
-                if c <= s:
-                    continue
-                joined = frozenset(add(a, b) for a in s for b in c)
-                if joined not in found:
-                    found.add(joined)
-                    grown.append(joined)
-        frontier = grown
-    return sorted(found, key=lambda sub: subgroup_key(model, sub))
+    elements = model.elements
+    orbits = [(x,) for x in range(len(elements))]
+    return [frozenset(elements[x] for x in s) for s in _lattice(model, orbits)]
 
 
 def subgroup_presentation(model: FiniteModel, elements):

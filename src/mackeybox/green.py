@@ -388,7 +388,13 @@ class FieldVerdict:
 
 
 def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
-    """Brute force over the subfunctor lattice; deterministic witness."""
+    """Whether ``g`` has no proper nonzero ideal, with a deterministic witness.
+
+    Walks the subfunctors of ``enumerate_subfunctors`` (bottoms are the
+    action-stable subgroups only) in Hermite-key order and tests each
+    proper nonzero one with ``is_ideal``; the first ideal found is the
+    witness.
+    """
     m = g.underlying
     if m.is_zero():
         raise ZeroFunctor("the zero functor is not a Mackey field")
@@ -430,7 +436,7 @@ def top_level_is_field(g: GreenFunctor) -> bool:
     if not m.top.is_finite():
         raise InfiniteGroup("top level must be finite")
     tm = finite_model(m.top)
-    elems = tm.elements()
+    elems = tm.elements
     one = tm.to_canonical(g.one_top())
     zero = tm.zero()
     if one == zero:

@@ -303,8 +303,10 @@ def hermite_row_basis(rows, ncols):
             if p[col] < 0:
                 p = [-x for x in p]
             basis.append(p)
-    # reduce entries above each pivot; floor division gives canonical residues
-    for i in reversed(range(len(basis))):
+    # reduce entries above each pivot, left to right: row i changes only
+    # columns from its pivot on, which later pivots reduce afterwards, so
+    # every entry above a pivot ends as its canonical residue
+    for i in range(len(basis)):
         pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
         for k in range(i):
             q = basis[k][pcol] // basis[i][pcol]

@@ -17,11 +17,11 @@ from .exactlin import (
     AbHom,
     FGAbPresentation,
     _apply,
+    _lattice,
     _same_ends,
     _unchecked,
     cyclic_group,
     direct_sum,
-    enumerate_subgroups,
     factor_through_injection,
     finite_model,
     first_nonzero_column,
@@ -361,30 +361,54 @@ def first_escape(matrix: IntMatrix, model, elements, target_model, target_elemen
     return None
 
 
+def _image_table(matrix: IntMatrix, model, target_model):
+    """Position in ``target_model`` of ``matrix @ x`` for each element x of
+    ``model``, by position."""
+    index = target_model.index
+    return [
+        index[target_model.to_canonical(_apply(matrix, model.from_canonical(c)))]
+        for c in model.elements
+    ]
+
+
 def enumerate_subfunctors(m: MackeyFunctor):
     """All subfunctors of a finite Mackey functor, in Hermite-key order.
 
-    Pairs of subgroups closed under transfer, restriction and the action.
-    Both subgroup lists come Hermite-sorted, so walking top x bottom yields
-    the subfunctors in (top key, bottom key) order.
+    The pairs (top subgroup T, bottom subgroup B) with B stable under the
+    action, tr(B) in T and res(T) in B.  Only the stable bottoms are
+    enumerated, as sums of cyclic Z[C_p]-submodules: the spans of the
+    orbits x, weyl(x), weyl(weyl(x)), ...  Each level map is tabulated once
+    on element positions, so both closure tests are set inclusions.  Both
+    lattices come Hermite-sorted, so walking top x bottom yields the
+    subfunctors in (top key, bottom key) order.
     """
     if not m.levels_finite():
         raise InfiniteGroup("subfunctor enumeration requires finite levels")
     tm = finite_model(m.top)
     bm = finite_model(m.bottom)
-    top_subs = enumerate_subgroups(tm)
-    bot_subs = enumerate_subgroups(bm)
-    out = []
-    for ts in top_subs:
-        for bs in bot_subs:
-            if first_escape(m.res.matrix, tm, ts, bm, bs) is not None:
-                continue
-            if first_escape(m.tr.matrix, bm, bs, tm, ts) is not None:
-                continue
-            if first_escape(m.weyl.matrix, bm, bs, bm, bs) is not None:
-                continue
-            out.append(Subfunctor(m, ts, bs))
-    return out
+    res = _image_table(m.res.matrix, tm, bm)
+    tr = _image_table(m.tr.matrix, bm, tm)
+    weyl = _image_table(m.weyl.matrix, bm, bm)
+    orbits = []
+    for x in range(len(bm.elements)):
+        orbit = [x]
+        while weyl[orbit[-1]] not in orbit:
+            orbit.append(weyl[orbit[-1]])
+        orbits.append(orbit)
+    tops = [
+        (t, frozenset(res[x] for x in t), frozenset(tm.elements[x] for x in t))
+        for t in _lattice(tm, [(x,) for x in range(len(tm.elements))])
+    ]
+    bottoms = [
+        (b, frozenset(tr[x] for x in b), frozenset(bm.elements[x] for x in b))
+        for b in _lattice(bm, orbits)
+    ]
+    return [
+        Subfunctor(m, top, bottom)
+        for t, res_t, top in tops
+        for b, tr_b, bottom in bottoms
+        if tr_b <= t and res_t <= b
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_present_quotient_round_trip():
 def test_finite_model_enumeration():
     m = finite_model(FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]])))
     assert m.order() == 4
-    assert len(m.elements()) == 4
+    assert len(m.elements) == 4
 
 
 def test_infinite_group_rejected():
@@ -404,7 +404,7 @@ def brute_force_subgroups(model):
         return frozenset(seen)
 
     r = max(1, sum(1 for d in model.moduli if d > 1))
-    elems = model.elements()
+    elems = model.elements
     subs = {closure(combo) for k in range(r + 1) for combo in combinations(elems, k)}
     return sorted(subs, key=lambda sub: subgroup_key(model, sub))
 
@@ -455,7 +455,7 @@ def gaussian_binomial(n, k, p):
     return num // den
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (5, 2)])
 def test_elementary_abelian_subgroup_count(p, n):
     # subgroups of (Z/p)^n are the F_p-subspaces: sum over k of [n choose k]_p
     expected = sum(gaussian_binomial(n, k, p) for k in range(n + 1))

@@ -333,7 +333,7 @@ def products_land_in(tower, d1, d2, sub, target):
         ring_model, model, target_model = (
             finite_model(ring_pres), finite_model(pres), finite_model(target_pres)
         )
-        for r in ring_model.elements():
+        for r in ring_model.elements:
             x = ring_model.from_canonical(r)
             for c in elements:
                 y = model.from_canonical(c)

@@ -16,6 +16,7 @@ from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
     cyclic_group,
+    enumerate_subgroups,
     finite_model,
     free_group,
     identity_hom,
@@ -46,6 +47,7 @@ from mackeybox.mackey import (
     canonical_levels,
     constant,
     enumerate_subfunctors,
+    first_escape,
     identity_map,
     validate_mackey,
     zero_mackey,
@@ -128,7 +130,7 @@ def escaping_sides(g, sub):
     ):
         model = finite_model(pres)
         n = pres.num_generators
-        ring = [model.from_canonical(c) for c in model.elements()]
+        ring = [model.from_canonical(c) for c in model.elements]
         inside = [model.from_canonical(c) for c in elements]
 
         def product(x, y):
@@ -226,6 +228,52 @@ def test_concentrated_functors_are_fields():
 
 def test_f4_frobenius_is_field():
     assert is_mackey_field(f4_frobenius_green()).is_field
+
+
+def gf2_mul(a, b, poly, n):
+    """Product in F_2[x]/(poly) of bit vectors a and b (bit i holds x^i)."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> n & 1:
+            a ^= poly
+    return out
+
+
+def gf2_galois_green(n, poly, k):
+    """F_(2^n) = F_2[x]/(poly) with C_2 acting by a -> a^(2^k), n = 2k, in
+    the power basis, as a fixed-point Green functor."""
+    def bits(a):
+        return tuple(a >> i & 1 for i in range(n))
+
+    def frobenius(a):
+        for _ in range(k):
+            a = gf2_mul(a, a, poly, n)
+        return a
+
+    basis = [1 << i for i in range(n)]
+    v = FGAbPresentation(n, IntMatrix.identity(n).scale(2))
+    gamma = AbHom(v, v, IntMatrix.from_columns([bits(frobenius(a)) for a in basis], n))
+    mult = IntMatrix.from_columns([bits(gf2_mul(a, b, poly, n)) for a in basis for b in basis], n)
+    return fixed_point_green(2, v, gamma, mult, bits(1))
+
+
+def test_f64_galois_is_field_over_129_submodules():
+    # x^6 + x + 1, a -> a^8: F_64 over its fixed subfield F_8.  Its 2,825
+    # subgroups of (Z/2)^6 are filtered here by brute force; each of the 129
+    # stable under the action is the bottom of the subfunctor (tr B, B).
+    g = gf2_galois_green(6, 0b1000011, 3)
+    m = g.underlying
+    assert m.top.canonical() == (0, (2, 2, 2))
+    assert is_mackey_field(g).is_field
+    bm = finite_model(m.bottom)
+    subgroups = enumerate_subgroups(bm)
+    stable = {b for b in subgroups if first_escape(m.weyl.matrix, bm, b, bm, b) is None}
+    assert (len(subgroups), len(stable)) == (2825, 129)
+    assert {s.bottom_elements for s in enumerate_subfunctors(m)} == stable
 
 
 def test_field_check_guards():

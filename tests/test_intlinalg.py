@@ -125,6 +125,34 @@ def test_hermite_key_canonical():
     assert a == b
     c = hermite_row_basis([(4, 0), (0, 2)], 2)
     assert a != c
+    # reducing the entry above the last pivot before the one above the
+    # middle pivot would leave (1, 0, -1) here
+    hnf = ((1, 0, 3), (0, 1, 1), (0, 0, 4))
+    assert hermite_row_basis([(1, 1, 0), (0, 1, 1), (0, 0, 4)], 3) == hnf
+    assert hermite_row_basis(hnf, 3) == hnf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw_matrices(),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)), max_size=6),
+)
+def test_hermite_key_is_the_hermite_normal_form(drawn, moves):
+    rows, m, n = drawn
+    key = hermite_row_basis(rows, n)
+    # row echelon with positive pivots, entries above a pivot reduced mod it
+    pivots = [next(j for j, x in enumerate(r) if x) for r in key]
+    assert pivots == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(key, pivots)):
+        assert row[pc] > 0
+        assert all(0 <= key[k][pc] < row[pc] for k in range(i))
+    # any other generating set of the same subgroup gives the same key:
+    # unimodular row moves row_i += c * row_j, then the key's own rows added
+    other = [list(r) for r in rows]
+    for i, j, c in moves:
+        if i < m and j < m and i != j:
+            other[i] = [x + c * y for x, y in zip(other[i], other[j])]
+    assert hermite_row_basis(other + [list(r) for r in key], n) == key
 
 
 def test_kron_index_convention():

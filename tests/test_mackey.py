@@ -1,10 +1,23 @@
-import pytest
+import functools
+from itertools import product
 
-from mackeybox.errors import InfiniteGroup, MackeyboxError, NotAMackeyMap, NotAnAction, NotPrime
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from mackeybox.errors import (
+    IllFormedHom,
+    InfiniteGroup,
+    MackeyboxError,
+    NotAMackeyMap,
+    NotAnAction,
+    NotPrime,
+)
 from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
     cyclic_group,
+    enumerate_subgroups,
     finite_model,
     free_group,
     identity_hom,
@@ -22,6 +35,7 @@ from mackeybox.mackey import (
     canonical_levels,
     constant,
     enumerate_subfunctors,
+    first_escape,
     homology_of_complex,
     identity_map,
     j_bottom,
@@ -235,7 +249,7 @@ def test_subfunctors_closed_under_intersection():
             assert inter in keys
 
 
-@pytest.mark.parametrize(
+ORDERED_FUNCTORS = pytest.mark.parametrize(
     "m",
     [
         constant(2, 4),
@@ -246,6 +260,9 @@ def test_subfunctors_closed_under_intersection():
     ],
     ids=["constant-2-4", "constant-3-9", "j_bottom-F4", "constant-2-2-squared"],
 )
+
+
+@ORDERED_FUNCTORS
 def test_subfunctors_in_strict_key_order(m):
     tm, bm = finite_model(m.top), finite_model(m.bottom)
     keys = [
@@ -254,6 +271,92 @@ def test_subfunctors_in_strict_key_order(m):
     ]
     assert len(keys) > 2
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def brute_force_subfunctors(m):
+    """Oracle: every pair of subgroups in (top key, bottom key) order, kept
+    when restriction, transfer and the action send it into itself."""
+    tm, bm = finite_model(m.top), finite_model(m.bottom)
+    stable = [
+        b for b in enumerate_subgroups(bm) if first_escape(m.weyl.matrix, bm, b, bm, b) is None
+    ]
+    return [
+        (t, b)
+        for t in enumerate_subgroups(tm)
+        for b in stable
+        if first_escape(m.res.matrix, tm, t, bm, b) is None
+        and first_escape(m.tr.matrix, bm, b, tm, t) is None
+    ]
+
+
+def subfunctor_pairs(m):
+    return [(s.top_elements, s.bottom_elements) for s in enumerate_subfunctors(m)]
+
+
+@ORDERED_FUNCTORS
+def test_subfunctors_match_brute_force(m):
+    assert subfunctor_pairs(m) == brute_force_subfunctors(m)
+
+
+MIXED_GROUPS = {
+    "Z/4 x Z/2": FGAbPresentation(2, IntMatrix([[4, 0], [0, 2]])),
+    "Z/9": cyclic_group(9),
+    "Z/3 x Z/3": FGAbPresentation(2, IntMatrix([[3, 0], [0, 3]])),
+}
+
+
+@functools.cache
+def actions_of_order_dividing(name, p):
+    """Every endomorphism of ``MIXED_GROUPS[name]`` whose p-th power is the
+    identity, as matrices with entries below the largest invariant factor."""
+    v = MIXED_GROUPS[name]
+    n = v.num_generators
+    bound = max(v.invariant_factors)
+    found = []
+    for entries in product(range(bound), repeat=n * n):
+        try:
+            gamma = AbHom(v, v, IntMatrix([entries[i * n : (i + 1) * n] for i in range(n)]))
+        except IllFormedHom:
+            continue
+        if gamma.power(p).equals(identity_hom(v)):
+            found.append(gamma)
+    return found
+
+
+@st.composite
+def fixed_point_functors(draw, p):
+    name = draw(st.sampled_from(sorted(MIXED_GROUPS)))
+    gamma = draw(st.sampled_from(actions_of_order_dividing(name, p)))
+    return j_bottom(p, MIXED_GROUPS[name], gamma)
+
+
+@st.composite
+def drawn_functors(draw):
+    """j_bottom(p, v, gamma) on a mixed-moduli v, or the sum of two.  The
+    oracle walks every pair of subgroups, so the sum of two Z/4 x Z/2
+    (hundreds of subgroups a level) is the one explicit example below."""
+    p = draw(st.sampled_from((2, 3)))
+    m = draw(fixed_point_functors(p))
+    if draw(st.booleans()):
+        other = draw(fixed_point_functors(p))
+        assume(m.bottom.order() * other.bottom.order() != 64)
+        m = mackey_direct_sum(m, other)[0]
+    return m
+
+
+def shear_sum():
+    """(Z/4 x Z/2) + (Z/4 x Z/2), C_2 acting on one summand by (a, b) ->
+    (a + 2b, b) and trivially on the other."""
+    v = MIXED_GROUPS["Z/4 x Z/2"]
+    shear = AbHom(v, v, IntMatrix([[1, 2], [0, 1]]))
+    return mackey_direct_sum(j_bottom(2, v, shear), j_bottom(2, v, identity_hom(v)))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn_functors())
+@example(shear_sum())
+def test_subfunctors_match_brute_force_on_drawn_actions(m):
+    assert subfunctor_pairs(m) == brute_force_subfunctors(m)
 
 
 def test_subfunctors_stable_under_action():
