@@ -2,8 +2,10 @@
 
 A group is Z^n modulo the row span of an integer relations matrix.  All
 operations (kernels, cokernels, images, tensor products, quotients,
-membership) are exact; canonical forms are (free rank, invariant factors)
-computed by Smith normal form.  Presentations are never silently minimized:
+membership) are exact; canonical forms are (free rank, invariant factors).
+A group killed by 2 is reduced over GF(2) on rows packed into ints; every
+other group, and every finite model, reads the integer Smith normal form of
+its relations.  Presentations are never silently minimized:
 generator labels survive every construction so that permutation and
 rotation maps defined on labels stay meaningful downstream.
 """
@@ -45,23 +47,38 @@ class FGAbPresentation:
         """(U, diagonal) of U @ relations^T @ V == D in Smith form, built
         without V.  The presentation owns it: it is stored in the instance
         ``__dict__``, outside the dataclass fields, so equality and hashing
-        ignore it, and it is freed with the object.  ``_reducer`` and
-        ``_model`` both read it."""
+        ignore it, and it is freed with the object.  ``_model`` reads it, and
+        so does ``_reducer`` for a group that is not killed by 2."""
         return smith_u_diagonal(self.relations.transpose())
 
     @cached_property
     def _reducer(self):
-        """(kept, canonical) from the Smith form ``_smith``.
+        """(kept, canonical): ``vec`` lies in the row span of the relations
+        exactly when ``row @ vec`` is 0 for each kept (row, 0) and a multiple
+        of d for each kept (row, d).
 
-        ``vec`` lies in the row span of the relations exactly when ``U @ vec``
-        lies in the column span of D: entry i is 0 where d_i == 0 and a
-        multiple of d_i otherwise.  ``kept`` holds the pairs (U row i, d_i)
-        with d_i != 1, the only rows that constrain anything.
+        When the relations contain +-e_i or +-2 e_i for every generator i,
+        the group is killed by 2 and the kept rows are a basis of the GF(2)
+        null space of the relations, each with d = 2 (``_mod2_null_space``).
+        Otherwise they come from the Smith form ``_smith``: ``vec`` is in the
+        span exactly when ``U @ vec`` lies in the column span of D, so the
+        kept rows are the pairs (U row i, d_i) with d_i != 1, the only rows
+        that constrain anything.
         """
+        null = _mod2_null_space(self.relations.rows, self.num_generators)
+        if null is not None:
+            return tuple((row, 2) for row in null), (0, (2,) * len(null))
         u, diagonal = self._smith
         diag = [abs(x) for x in diagonal] + [0] * (self.num_generators - len(diagonal))
         kept = tuple((u.rows[i], di) for i, di in enumerate(diag) if di != 1)
         return kept, (diag.count(0), tuple(x for x in diag if x > 1))
+
+    @cached_property
+    def _columns_mod2(self):
+        """The relations mod 2 by columns: generator j's column packed by
+        ``_pack``, relation r at bit r.  ``AbHom`` reads it for its source,
+        which is often the source of several maps."""
+        return [_pack(col) for col in zip(*self.relations.rows)]
 
     def canonical(self):
         """(free_rank, invariant_factors) with factors > 1 in divisibility order."""
@@ -123,6 +140,67 @@ def _kills(kept, vec):
     return True
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack(entries):
+    """The entries mod 2 as one int, entry j at bit j."""
+    return int(bytes([x & 1 for x in reversed(entries)]).translate(_BITS) or b"0", 2)
+
+
+def _mod2_null_space(rows, n):
+    """A basis of {y : R @ y == 0 mod 2} as 0/1 tuples when the rows R
+    contain +-e_i or +-2 e_i for every generator i, else None.
+
+    Such rows put 2 Z^n inside their span, so a vector lies in the span
+    exactly when it lies in it mod 2, that is, when it is orthogonal mod 2
+    to this null space.  The rows are packed by ``_pack`` and reduced by
+    XOR to reduced echelon form, as in M4RI (Albrecht, Bard & Hart,
+    "Efficient dense Gaussian elimination over GF(2)", ACM TOMS 37(1),
+    2010); each free column f then gives e_f plus the pivots whose rows
+    contain f.
+    """
+    covered = set()
+    for row in rows:
+        if n - row.count(0) == 1:
+            x = max(row) or min(row)  # the row's one nonzero entry
+            if -2 <= x <= 2:
+                covered.add(row.index(x))
+    if len(covered) < n:
+        return None
+    pivots = {}  # top bit -> packed row with that top bit
+    for row in rows:
+        v = _pack(row)
+        while v:
+            top = v.bit_length() - 1
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = v
+                break
+            v ^= p
+    # clear the lower pivot columns from each pivot row, lowest row first,
+    # so that each pivot column is set in its own row only
+    done = 0
+    for top in sorted(pivots):
+        v = pivots[top]
+        hits = v & done
+        while hits:
+            low = hits & -hits
+            v ^= pivots[low.bit_length() - 1]
+            hits ^= low
+        pivots[top] = v
+        done |= 1 << top
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            y = 1 << f
+            for top, v in pivots.items():
+                if v >> f & 1:
+                    y |= 1 << top
+            basis.append(tuple(y >> j & 1 for j in range(n)))
+    return basis
+
+
 def free_group(n):
     return FGAbPresentation(n, IntMatrix.zeros(0, n))
 
@@ -156,18 +234,27 @@ class AbHom:
             return
         # (U_i @ matrix) @ rel == U_i @ (matrix @ rel): fold the kept rows of
         # the target's reducer into the map once; a zero row kills everything
+        kept = self.target._reducer[0]
+        if all(d == 2 for _, d in kept):
+            bad = _rejected_mod2(kept, self.matrix.rows, self.source._columns_mod2)
+            if bad:
+                self._reject(rels[(bad & -bad).bit_length() - 1])
+            return
         cols = list(zip(*self.matrix.rows))
         folded = []
-        for row, d in self.target._reducer[0]:
+        for row, d in kept:
             urow = [sum(map(mul, row, col)) for col in cols]
             if any(urow):
                 folded.append((urow, d))
         for rel in rels:
             if not _kills(folded, rel):
-                img = _apply(self.matrix, rel)
-                raise IllFormedHom(
-                    f"source relation {list(rel)} maps to {list(img)} outside target relations"
-                )
+                self._reject(rel)
+
+    def _reject(self, rel):
+        img = _apply(self.matrix, rel)
+        raise IllFormedHom(
+            f"source relation {list(rel)} maps to {list(img)} outside target relations"
+        )
 
     def __call__(self, vec):
         return _apply(self.matrix, vec)
@@ -208,6 +295,29 @@ class AbHom:
             "target": self.target.to_json(),
             "matrix": self.matrix.to_lists(),
         }
+
+
+def _rejected_mod2(kept, matrix_rows, columns):
+    """Bitmask of the source relations (bit r for relation r) whose image
+    under the matrix some kept row fails, for a target whose kept rows all
+    have d = 2.  Each kept row is folded into the matrix mod 2 as one
+    packed int over the source generators.  ``columns`` are the source
+    relations packed by columns, so the XOR of the columns a folded row
+    selects is the mask of the relations it maps to odd values."""
+    images = [_pack(r) for r in matrix_rows]
+    bad = 0
+    for row, _ in kept:
+        u = 0
+        for i, x in enumerate(row):
+            if x & 1:
+                u ^= images[i]
+        rejected = 0
+        while u:
+            low = u & -u
+            rejected ^= columns[low.bit_length() - 1]
+            u ^= low
+        bad |= rejected
+    return bad
 
 
 def _unchecked(cls, *values):

@@ -20,6 +20,7 @@ from mackeybox.boxtensor import (
 )
 from mackeybox.errors import IncompatiblePairing, PrimeMismatch, SizeLimit
 from mackeybox.exactlin import AbHom, FGAbPresentation, cyclic_group
+from mackeybox.green import f4_frobenius_green
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     burnside,
@@ -188,6 +189,15 @@ def test_rotation_order_divides_p_times_arity():
         for _ in range(order):
             power = alpha.compose(power)
         assert power.equals(identity_map(bp.result))
+
+
+def test_box_power_of_f4_at_arity_6():
+    # the F_4/C_2 functor boxed k times is (Z/2)^(2^(k-1)) on top and
+    # (Z/2)^(2^k) at the bottom; at k = 6 the top has 1,216 relations on
+    # 128 generators and the bottom 384 on 64
+    bp = box_power(f4_frobenius_green().underlying, 6)
+    assert bp.result.top.canonical() == (0, (2,) * 32)
+    assert bp.result.bottom.canonical() == (0, (2,) * 64)
 
 
 def test_box_power_concentrated():

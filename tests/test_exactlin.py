@@ -9,10 +9,12 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from mackeybox import _snf_py
+from mackeybox.boxtensor import box_power
 from mackeybox.errors import IllFormedHom, InfiniteGroup
 from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
+    _kills,
     cyclic_group,
     direct_sum,
     enumerate_subgroups,
@@ -31,6 +33,7 @@ from mackeybox.exactlin import (
     zero_group,
     zero_hom,
 )
+from mackeybox.green import f4_frobenius_green
 from mackeybox.intlinalg import IntMatrix, smith_normal_form, smith_u_diagonal
 
 
@@ -228,6 +231,59 @@ def test_presentations_build_no_v(monkeypatch):
     assert vs == [None] * 3
 
 
+def recorded_smith_forms(monkeypatch):
+    """A list that records the (rows, cols) of every Smith kernel call."""
+    calls = []
+    kernel = _snf_py.smith_normal_form
+
+    def recording(*args, **kwargs):
+        calls.append(args[1:3])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(_snf_py, "smith_normal_form", recording)
+    return calls
+
+
+def test_groups_killed_by_two_take_no_smith_form(monkeypatch):
+    f4 = f4_frobenius_green().underlying  # its fixed points are solved with V
+    calls = recorded_smith_forms(monkeypatch)
+    bp = box_power(f4, 3)
+    top, bottom = bp.result.top, bp.result.bottom
+    assert top.canonical() == (0, (2,) * 4)
+    assert bottom.canonical() == (0, (2,) * 8)
+    AbHom(top, top, IntMatrix.identity(top.num_generators))
+    # no generators, and the trivial group on unit rows, qualify as well
+    assert zero_group().canonical() == (0, ())
+    assert FGAbPresentation(2, IntMatrix([[0, -1], [1, 0]])).canonical() == (0, ())
+    assert calls == []
+    # a Z/4 generator, a free generator, and a generator with no row +-e_1
+    # or +-2 e_1 (a Z/2 all the same) each leave the GF(2) path
+    for rels, shape in [
+        ([[2, 0], [0, 4]], (0, (2, 4))),
+        ([[2, 0]], (1, (2,))),
+        ([[2, 0], [1, 1]], (0, (2,))),
+    ]:
+        assert FGAbPresentation(2, IntMatrix(rels, 2)).canonical() == shape
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "target_rels",
+    [[[2, 0], [0, 2]], [[2, 2], [0, 2]]],
+    ids=["gf2-path", "integer-path"],
+)
+def test_ill_formed_hom_into_killed_by_two_names_the_first_failure(target_rels):
+    # Z/2 + Z/3 + Z/5 -> (Z/2)^2 by e_0, e_1 |-> (1, 0) and e_2 |-> (0, 1):
+    # 2e_0 maps to (2, 0) == 0, while 3e_1 and 5e_2 map to (3, 0) and
+    # (0, 5), both outside 2Z^2; only the first of the two is named
+    source = FGAbPresentation(3, IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+    target = FGAbPresentation(2, IntMatrix(target_rels))
+    assert target.canonical() == (0, (2, 2))
+    with pytest.raises(IllFormedHom) as err:
+        AbHom(source, target, IntMatrix([[1, 1, 0], [0, 0, 1]]))
+    assert str(err.value) == "source relation [0, 3, 0] maps to [3, 0] outside target relations"
+
+
 # ---------------------------------------------------------------------------
 # tensor
 
@@ -326,6 +382,91 @@ def test_reduces_to_zero_matches_sympy_oracle(case):
     pres = FGAbPresentation(n, IntMatrix(rows, n))
     in_lattice = lattice_invariants(rows) == lattice_invariants(rows + [vec])
     assert pres.reduces_to_zero(vec) == in_lattice
+
+
+entry8 = st.integers(min_value=-8, max_value=8)
+
+
+@st.composite
+def killed_by_two(draw):
+    """Relations on 1-6 generators with a +-e_i or +-2 e_i row for every
+    generator i, and up to four rows with entries in -8..8, shuffled."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for i in range(n):
+        x = draw(st.sampled_from((2, -2, 2, 1, -1)))
+        rows.append([x if j == i else 0 for j in range(n)])
+    rows += draw(st.lists(st.lists(entry8, min_size=n, max_size=n), max_size=4))
+    return [rows[k] for k in draw(st.permutations(range(len(rows))))]
+
+
+def integer_kept(pres):
+    """The kept rows of the integer Smith reducer, (U row i, d_i) for
+    d_i != 1, whatever path the presentation takes."""
+    u, diagonal = smith_u_diagonal(pres.relations.transpose())
+    diag = [abs(x) for x in diagonal] + [0] * (pres.num_generators - len(diagonal))
+    return [(u.rows[i], d) for i, d in enumerate(diag) if d != 1]
+
+
+@given(killed_by_two(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gf2_reducer_matches_integer_reducer(rows, data):
+    n = len(rows[0])
+    pres = FGAbPresentation(n, IntMatrix(rows, n))
+    rank, order = lattice_invariants(rows)
+    assert rank == n and order & (order - 1) == 0
+    assert pres.canonical() == (0, (2,) * (order.bit_length() - 1))
+    kept = integer_kept(pres)
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            coeffs = [data.draw(entry8) for _ in rows]
+            vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        else:
+            vec = data.draw(st.lists(entry8, min_size=n, max_size=n))
+        assert pres.reduces_to_zero(vec) == _kills(kept, vec)
+        assert pres.reduces_to_zero(vec) == (lattice_invariants(rows + [vec]) == (rank, order))
+
+
+def first_failure_reference(source, target, matrix):
+    """The IllFormedHom text of the first source relation whose image the
+    integer reducer of the target rejects, tested one relation at a time."""
+    kept = integer_kept(target)
+    for rel in source.relations.rows:
+        img = [sum(a * b for a, b in zip(row, rel)) for row in matrix.rows]
+        if not _kills(kept, img):
+            return f"source relation {list(rel)} maps to {img} outside target relations"
+    return None
+
+
+@given(killed_by_two(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_hom_check_into_killed_by_two_matches_reference(rows, data):
+    n = len(rows[0])
+    if data.draw(st.booleans()):
+        # the same group in a drawn basis: off the GF(2) path, but the kept
+        # rows of its Smith reducer still all have d = 2, with any entries
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(n):
+            a, b = data.draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+            s = data.draw(st.integers(-2, 2)) if a != b else 0
+            for row in basis:
+                row[a] += s * row[b]
+        rows = [[sum(x * row[j] for x, row in zip(r, basis)) for j in range(n)] for r in rows]
+    target = FGAbPresentation(n, IntMatrix(rows, n))
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(entry8, min_size=m, max_size=m)
+    # doubled relations always map into a group killed by 2; drawn ones may not
+    rels = [[2 * x for x in data.draw(vector)] for _ in range(data.draw(st.integers(0, 3)))]
+    rels += [data.draw(vector) for _ in range(data.draw(st.integers(0, 3)))]
+    rels = [rels[k] for k in data.draw(st.permutations(range(len(rels))))]
+    source = FGAbPresentation(m, IntMatrix(rels, m))
+    matrix = IntMatrix([data.draw(vector) for _ in range(n)], m)
+    try:
+        AbHom(source, target, matrix)
+        message = None
+    except IllFormedHom as err:
+        message = str(err)
+    assert message == first_failure_reference(source, target, matrix)
 
 
 def test_factor_through_injection():
