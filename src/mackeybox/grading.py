@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .boxtensor import box
-from .errors import InfiniteGroup, UnclassifiedField, WindowOverflow
+from .errors import InfiniteGroup, PrimeMismatch, UnclassifiedField, WindowOverflow
 from .exactlin import finite_model
 from .green import (
     FieldShape,
@@ -26,8 +26,8 @@ from .green import (
 from .intlinalg import IntMatrix
 from .mackey import (
     MackeyFunctor,
+    _image_table,
     enumerate_subfunctors,
-    first_escape,
     j_bottom,
     mackey_direct_sum,
     zero_mackey,
@@ -54,7 +54,7 @@ class RODegree:
         return self.a
 
     def __add__(self, other):
-        assert self.prime == other.prime
+        _same_prime(self.prime, other.prime)
         return RODegree(self.prime, self.a + other.a, tuple(x + y for x, y in zip(self.m, other.m)))
 
     def __neg__(self):
@@ -88,12 +88,17 @@ class RODegree:
         return {"a": self.a, "m": list(self.m)}
 
 
+def _same_prime(p, q):
+    if p != q:
+        raise PrimeMismatch(f"degrees or functors over C_{p} and C_{q} do not combine")
+
+
 def rotating_sign(alpha: RODegree, beta: RODegree):
     """(sign at the fixed orbit, sign at the free orbit) for the factor swap.
 
     Koszul signs on the fixed-point and total dimensions respectively.
     """
-    assert alpha.prime == beta.prime
+    _same_prime(alpha.prime, beta.prime)
     sign_top = -1 if (alpha.fixed_dim() * beta.fixed_dim()) % 2 else 1
     sign_bot = -1 if (alpha.dim() * beta.dim()) % 2 else 1
     return sign_top, sign_bot
@@ -128,22 +133,26 @@ class BoxWindow:
 # homotopy of Eilenberg-Mac Lane spectra of Mackey fields
 
 
+def _em_nonzero(shape: FieldShape, alpha: RODegree):
+    """Whether the case formulas of ``em_homotopy`` give a nonzero functor
+    at ``alpha``: fixed dimension 0 for a concentrated field, total
+    dimension 0 for a fixed-point one."""
+    if shape.kind == "concentrated":
+        return alpha.fixed_dim() == 0
+    return alpha.dim() == 0
+
+
 def em_homotopy(shape: FieldShape, alpha: RODegree) -> MackeyFunctor:
     """The case formulas for the graded homotopy of the associated
     Eilenberg-Mac Lane spectrum of a classified Mackey field."""
     if not isinstance(shape, FieldShape):
         raise UnclassifiedField("classify the field before looking up homotopy")
     p = shape.field.prime
-    assert alpha.prime == p
+    _same_prime(alpha.prime, p)
     f = shape.field.underlying
-    if shape.kind == "concentrated":
-        return f if alpha.fixed_dim() == 0 else zero_mackey(p)
-    if alpha.dim() != 0:
+    if not _em_nonzero(shape, alpha):
         return zero_mackey(p)
-    if p != 2:
-        return f
-    k = alpha.a
-    if k % 2 == 0:
+    if shape.kind == "concentrated" or p != 2 or alpha.a % 2 == 0:
         return f
     # odd antidiagonal degree: fixed points of the ring tensored with the
     # sign representation of the integers
@@ -173,11 +182,7 @@ def em_tower(shape: FieldShape, window) -> GradedGreenTower:
     if shape.kind != "concentrated":
         raise UnclassifiedField("graded tower is implemented for concentrated fields")
     g = shape.field
-    pieces = {}
-    for deg in window.degrees():
-        piece = em_homotopy(shape, deg)
-        if not piece.is_zero():
-            pieces[deg] = piece
+    pieces = {deg: em_homotopy(shape, deg) for deg in window.degrees() if _em_nonzero(shape, deg)}
     pairings = {}
     for d1 in pieces:
         for d2 in pieces:
@@ -211,15 +216,31 @@ class PartialCertificate:
 
 
 MAX_GRADED_COMBINATIONS = 1_000_000
+"""Node budget of the ordered search for the first witness in
+``graded_field_window_check``: the number of single-degree assignments it
+may try.  Deciding that no graded ideal exists takes no search and no
+budget."""
 
 
 def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertificate:
     """Search for a proper nonzero graded ideal supported in the window.
 
-    Exhaustive over graded subfunctors when all pieces are finite.  A piece
-    with infinite level falls back to a deterministic generated-ideal probe
-    (transfers of generators first); the probe can only produce witnesses,
-    never a certificate.
+    Exact when all pieces are finite.  A graded ideal picks one subfunctor
+    per degree, and for every in-window pair d1 + d2 = s the ring piece at
+    d1 times the pick at d2 lies in the pick at s.  Each pair's products
+    become verdict tables once, and every atom (a minimal nonzero subfunctor
+    at one degree) is closed to the least graded ideal containing it.  No
+    proper nonzero ideal exists exactly when each of these is all-full.
+    Otherwise the witness is the first combination, in the order of
+    ``itertools.product`` over the lattices of ``enumerate_subfunctors``,
+    that is a graded ideal and neither all-zero nor all-full; an ordered
+    search with forward checking finds it, and raises ``WindowOverflow``
+    beyond ``MAX_GRADED_COMBINATIONS`` nodes (README, "Subfunctors and
+    ideals").
+
+    A piece with infinite level falls back to a deterministic
+    generated-ideal probe (transfers of generators first); the probe can
+    only produce witnesses, never a certificate.
     """
     degrees = [d for d in window.degrees() if d in tower.pieces]
     if not degrees:
@@ -228,68 +249,190 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     if infinite:
         return _witness_probe(tower, degrees)
 
-    lattices = [enumerate_subfunctors(tower.pieces[d]) for d in degrees]
-    total = 1
-    for lattice in lattices:
-        total *= len(lattice)
-        if total > MAX_GRADED_COMBINATIONS:
-            raise WindowOverflow("graded subfunctor lattice too large for the window")
-
-    # One (position of d2, position of d1 + d2, table) per pair of degrees in
-    # the window; table[(i, k)] tells whether the ring piece at d1 times the
-    # i-th subfunctor at d2 lands in the k-th subfunctor at d1 + d2.
-    position = {d: n for n, d in enumerate(degrees)}
-    verdicts = []
-    for d1 in degrees:
-        for d2 in degrees:
-            s = d1 + d2
-            if s in tower.pieces and window.contains(s):
-                ring, pairing = tower.pieces[d1], tower.pairings[(d1, d2)]
-                table = {
-                    (i, k): _products_land_in(pairing, ring, sub, target)
-                    for i, sub in enumerate(lattices[position[d2]])
-                    for k, target in enumerate(lattices[position[s]])
-                }
-                verdicts.append((position[d2], position[s], table))
-
-    # Each lattice holds one zero and one full subfunctor; the all-zero and
-    # the all-full combinations are the trivial ideals, skipped by position.
-    zeros = tuple(next(i for i, s in enumerate(lattice) if s.is_zero()) for lattice in lattices)
-    fulls = tuple(next(i for i, s in enumerate(lattice) if s.is_full()) for lattice in lattices)
-    for combo in iproduct(*(range(len(lattice)) for lattice in lattices)):
-        if combo == zeros or combo == fulls:
-            continue
-        if all(table[(combo[i], combo[k])] for i, k, table in verdicts):
-            choice = [lattice[i] for lattice, i in zip(lattices, combo)]
-            witness = {
-                d.key(): {
-                    "top": sorted(list(c) for c in sub.top_elements),
-                    "bottom": sorted(list(c) for c in sub.bottom_elements),
-                }
-                for d, sub in zip(degrees, choice)
-            }
-            return PartialCertificate(True, "witness", witness)
-    return PartialCertificate(True, "no_graded_ideal_in_window", None)
+    lattices = _WindowLattices(tower, degrees)
+    proper = any(lattices.least_ideal(seed) != lattices.fulls for seed in lattices.atom_seeds())
+    combo = lattices.first_witness() if proper else None
+    if combo is None:
+        return PartialCertificate(True, "no_graded_ideal_in_window", None)
+    choice = [subs[i] for subs, i in zip(lattices.subs, combo)]
+    witness = {
+        d.key(): {
+            "top": sorted(list(c) for c in sub.top_elements),
+            "bottom": sorted(list(c) for c in sub.bottom_elements),
+        }
+        for d, sub in zip(degrees, choice)
+    }
+    return PartialCertificate(True, "witness", witness)
 
 
-def _products_land_in(pairing, ring, sub, target):
-    """Whether ``pairing`` sends the ring piece ``ring`` times ``sub`` into
-    ``target``, at both levels.
+class _WindowLattices:
+    """The subfunctor lattices of a finite tower's pieces at ``degrees`` and
+    the verdict tables of its in-window products.
 
-    As in ``green.is_ideal``, multiplying by the generators of the ring
-    piece suffices, and each product map is looked up in the element sets.
+    Degree t (its position in ``degrees``) has the subfunctors ``subs[t]``
+    of ``enumerate_subfunctors``; a combination is a tuple of one index per
+    degree.  ``by_source[t]`` holds a verdict (u, allowed) for each pair
+    d1 + d2 = s with d2 at t and s at u: the ring piece at d1 times
+    subfunctor i at d2 lies in subfunctor k at s exactly when k is in
+    ``allowed[i]``.  A combination is a graded ideal when it passes every
+    verdict.  A smaller source or a larger target can only pass, so graded
+    ideals are closed under intersection.
     """
-    for mult, ring_level, level, elements, target_level, target_elements in (
-        (pairing.f_top.matrix, ring.top, sub.parent.top, sub.top_elements,
-         target.parent.top, target.top_elements),
-        (pairing.f_bot.matrix, ring.bottom, sub.parent.bottom, sub.bottom_elements,
-         target.parent.bottom, target.bottom_elements),
-    ):
+
+    def __init__(self, tower, degrees):
+        # Towers repeat one piece and one pairing in many degrees (``em_tower``
+        # does), so lattices and verdict tables are shared between uses of one
+        # object, found by identity; hashing the frozen dataclasses would cost
+        # more than the sharing saves.  The tower holds every object, so no
+        # id is reused during the check.
+        pieces = [tower.pieces[d] for d in degrees]
+        lattices = {}
+        for piece in pieces:
+            if id(piece) not in lattices:
+                lattices[id(piece)] = _subfunctor_sets(piece)
+        self.subs, self.sets, self.above = map(list, zip(*(lattices[id(p)] for p in pieces)))
+        self.sizes = [[len(t) + len(b) for t, b in sets] for sets in self.sets]
+        self.zeros = tuple(next(i for i, s in enumerate(subs) if s.is_zero()) for subs in self.subs)
+        self.fulls = tuple(next(i for i, s in enumerate(subs) if s.is_full()) for subs in self.subs)
+        position = {d: t for t, d in enumerate(degrees)}
+        tables = {}
+        self.by_source = [[] for _ in degrees]
+        for d1, ring in zip(degrees, pieces):
+            for t, d2 in enumerate(degrees):
+                u = position.get(d1 + d2)
+                if u is None:
+                    continue
+                parts = (tower.pairings[(d1, d2)], ring, pieces[t], pieces[u])
+                key = tuple(id(x) for x in parts)
+                if key not in tables:
+                    tables[key] = _verdict_table(*parts, self.sets[t], self.sets[u])
+                self.by_source[t].append((u, tables[key]))
+
+    def atom_seeds(self):
+        """For each atom, the combination that is the atom at its degree and
+        zero elsewhere."""
+        for t, above in enumerate(self.above):
+            # an atom contains exactly two subfunctors: zero and itself
+            below = [0] * len(above)
+            for over in above:
+                for k in over:
+                    below[k] += 1
+            for k, count in enumerate(below):
+                if count == 2:
+                    yield self.zeros[:t] + (k,) + self.zeros[t + 1:]
+
+    def least_ideal(self, seed):
+        """The least graded ideal containing the combination ``seed``.
+
+        A fixed point: while a verdict (u, allowed) of t fails, raise the pick
+        at u to the smallest subfunctor in ``allowed`` of the pick at t that
+        contains the current one.  Every subfunctor is in the lattice, so
+        that one is the subfunctor generated by both, and any graded ideal
+        containing the current picks contains it too.
+        """
+        combo = list(seed)
+        todo = list(range(len(combo)))
+        while todo:
+            t = todo.pop()
+            for u, allowed in self.by_source[t]:
+                passing = allowed[combo[t]]
+                if combo[u] not in passing:
+                    combo[u] = min(passing & self.above[u][combo[u]], key=self.sizes[u].__getitem__)
+                    todo.append(u)
+        return tuple(combo)
+
+    def first_witness(self):
+        """The first graded ideal, neither all-zero nor all-full, in the
+        order of ``itertools.product``, or None: a depth-first search over
+        the degrees in order, each trying its subfunctors in increasing index.
+
+        Forward checking (Haralick and Elliott, Artif. Intell. 14, 1980):
+        assigning a degree narrows the domain of every later degree it
+        shares a verdict with, and a branch stops when a domain empties.
+        Each assignment counts against ``MAX_GRADED_COMBINATIONS``.
+        """
+        n = len(self.subs)
+        domains = [frozenset(range(len(subs))) for subs in self.subs]
+        # forward[t]: (u, narrow) with u > t; assigning v at t leaves narrow[v] at u
+        forward = [[] for _ in range(n)]
+        for t, outgoing in enumerate(self.by_source):
+            for u, allowed in outgoing:
+                if t == u:
+                    domains[t] = frozenset(i for i in domains[t] if i in allowed[i])
+                elif t < u:
+                    forward[t].append((u, allowed))
+                else:
+                    sources = range(len(self.subs[t]))
+                    forward[u].append((t, [
+                        frozenset(i for i in sources if v in allowed[i])
+                        for v in range(len(self.subs[u]))
+                    ]))
+        nodes = 0
+        stack = [((), domains, iter(sorted(domains[0])))]
+        while stack:
+            combo, domains, values = stack[-1]
+            v = next(values, None)
+            if v is None:
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > MAX_GRADED_COMBINATIONS:
+                raise WindowOverflow(
+                    f"the search for the first witness exceeded its search budget of "
+                    f"{MAX_GRADED_COMBINATIONS} nodes (MAX_GRADED_COMBINATIONS)"
+                )
+            t, combo = len(combo), combo + (v,)
+            narrowed = list(domains)
+            for u, narrow in forward[t]:
+                narrowed[u] &= narrow[v]
+            if not all(narrowed[u] for u, _ in forward[t]):
+                continue
+            if t < n - 1:
+                stack.append((combo, narrowed, iter(sorted(narrowed[t + 1]))))
+            elif combo != self.zeros and combo != self.fulls:
+                return combo
+        return None
+
+
+def _subfunctor_sets(piece):
+    """(subs, sets, above) of a finite piece: its subfunctors from
+    ``enumerate_subfunctors``; each as (top positions, bottom positions) in
+    the piece's finite models; and for each, the indices of the subfunctors
+    that contain it."""
+    subs = enumerate_subfunctors(piece)
+    top, bottom = finite_model(piece.top).index, finite_model(piece.bottom).index
+    sets = [
+        (frozenset(top[c] for c in sub.top_elements), frozenset(bottom[c] for c in sub.bottom_elements))
+        for sub in subs
+    ]
+    above = [
+        frozenset(j for j, (t2, b2) in enumerate(sets) if t1 <= t2 and b1 <= b2) for t1, b1 in sets
+    ]
+    return subs, sets, above
+
+
+def _verdict_table(pairing, ring, piece, target, sources, targets):
+    """``allowed`` of one pair d1 + d2 = s: for each source subfunctor of
+    ``piece`` (at d2), the indices of the ``targets`` subfunctors of
+    ``target`` (at s) that contain ``ring`` (at d1) times it.  Each
+    generator's product map is tabulated once on element positions, so the
+    image of a subfunctor is a union of lookups and each verdict is a set
+    inclusion, at both levels."""
+    images = []
+    for side, (mult, ring_level, level, target_level) in enumerate((
+        (pairing.f_top.matrix, ring.top, piece.top, target.top),
+        (pairing.f_bot.matrix, ring.bottom, piece.bottom, target.bottom),
+    )):
         model, target_model = finite_model(level), finite_model(target_level)
-        for action in _left_products(mult, ring_level.num_generators, level.num_generators):
-            if first_escape(action, model, elements, target_model, target_elements) is not None:
-                return False
-    return True
+        tables = [
+            _image_table(action, model, target_model)
+            for action in _left_products(mult, ring_level.num_generators, level.num_generators)
+        ]
+        images.append([frozenset(table[x] for table in tables for x in sets[side]) for sets in sources])
+    return [
+        frozenset(k for k, (t, b) in enumerate(targets) if top <= t and bottom <= b)
+        for top, bottom in zip(*images)
+    ]
 
 
 def _witness_probe(tower: GradedGreenTower, degrees):
@@ -347,7 +490,7 @@ MAX_GRADED_PIECES = 4096
 
 def graded_box(a: GradedMackey, b: GradedMackey, out_window=None, limit=None) -> GradedMackey:
     """Degreewise box product: piece at n is the sum over k + l = n."""
-    assert a.prime == b.prime
+    _same_prime(a.prime, b.prime)
     sums = {}
     for d1 in a.support():
         for d2 in b.support():

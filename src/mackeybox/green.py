@@ -11,6 +11,7 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .boxtensor import BilinearPairing, pairing_from_matrices, relative_box_raw
 from .errors import (
@@ -73,6 +74,19 @@ class GreenFunctor:
         raises ``IncompatiblePairing`` for an invalid multiplication."""
         self.mult.validate()
         return _commutativity(self).passed
+
+    @cached_property
+    def _ideal_products(self):
+        """Per level (top, bottom), the 2n maps x -> e_i * x and then
+        x -> x * e_i, one per generator e_i of that level.  Built on first
+        use by ``is_ideal`` and kept in the instance ``__dict__``, outside
+        equality and hashing, like ``FGAbPresentation._smith``."""
+        m = self.underlying
+        out = []
+        for pres, mult in ((m.top, self.mult.f_top.matrix), (m.bottom, self.mult.f_bot.matrix)):
+            n = pres.num_generators
+            out.append(_left_products(mult, n, n) + _left_products(_swapped(mult, n, n), n, n))
+        return tuple(out)
 
     def to_json(self):
         d = self.underlying.to_json()
@@ -351,17 +365,18 @@ def is_ideal(g: GreenFunctor, sub: Subfunctor):
     bilinear and each level of ``sub`` is a subgroup, so this holds exactly
     when every product of a ring element and an element of ``sub``, on
     either side, lies in ``sub``.  Each such map is a column slice of the
-    pairing matrix, and its images are looked up in the element sets of
-    ``sub``; no presentation of ``sub`` is built.
+    pairing matrix, built once per ring (``GreenFunctor._ideal_products``),
+    and its images are looked up in the element sets of ``sub``; no
+    presentation of ``sub`` is built.
     """
     m = g.underlying
-    for level, pres, mult, elements in (
-        ("top", m.top, g.mult.f_top.matrix, sub.top_elements),
-        ("bottom", m.bottom, g.mult.f_bot.matrix, sub.bottom_elements),
+    top_products, bottom_products = g._ideal_products
+    for level, pres, products, elements in (
+        ("top", m.top, top_products, sub.top_elements),
+        ("bottom", m.bottom, bottom_products, sub.bottom_elements),
     ):
         model = finite_model(pres)
-        n = pres.num_generators
-        for action in _left_products(mult, n, n) + _left_products(_swapped(mult, n, n), n, n):
+        for action in products:
             prod = first_escape(action, model, elements, model, elements)
             if prod is not None:
                 return False, f"{level} product {list(prod)} escapes the subfunctor"

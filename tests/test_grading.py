@@ -1,13 +1,17 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mackeybox.errors import UnclassifiedField
+from mackeybox import grading
+from mackeybox.errors import PrimeMismatch, UnclassifiedField, WindowOverflow
 from mackeybox.grading import (
     BoxWindow,
     GradedGreenTower,
     GradedMackey,
     RODegree,
+    _WindowLattices,
     em_homotopy,
     em_tower,
     graded_box,
@@ -166,9 +170,30 @@ def test_em_alpha_and_negative_agree_concentrated():
             assert canonical_levels(one) == canonical_levels(two)
 
 
+def test_em_tower_pieces_are_the_nonzero_homotopy_functors():
+    shape = classify_field_shape(field_top_green(2, 2))
+    window = BoxWindow(2, 3, 3)
+    tower = em_tower(shape, window)
+    nonzero = [d for d in window.degrees() if not em_homotopy(shape, d).is_zero()]
+    assert list(tower.pieces) == nonzero
+
+
 def test_em_requires_classified_field():
     with pytest.raises(UnclassifiedField):
         em_homotopy("not a shape", RODegree.zero(2))
+
+
+def test_mixed_primes_raise_prime_mismatch():
+    # typed errors, not asserts: these hold under python -O as well
+    with pytest.raises(PrimeMismatch, match="C_2 and C_3"):
+        deg2(1, 0) + deg3(1, 0)
+    with pytest.raises(PrimeMismatch, match="C_2 and C_3"):
+        rotating_sign(deg2(1, 0), deg3(0, 1))
+    with pytest.raises(PrimeMismatch, match="C_3 and C_2"):
+        em_homotopy(classify_field_shape(field_top_green(2, 2)), deg3(0, 0))
+    f2, f3 = field_top_green(2, 2).underlying, field_top_green(3, 3).underlying
+    with pytest.raises(PrimeMismatch):
+        graded_box(GradedMackey(2, {deg2(0, 0): f2}), GradedMackey(3, {deg3(0, 0): f3}))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +207,22 @@ def test_graded_window_no_ideal_for_concentrated_f2():
     cert = graded_field_window_check(tower, window)
     assert cert.window_partial
     assert cert.verdict == "no_graded_ideal_in_window"
+
+
+@pytest.mark.parametrize("m", [10, 20])
+def test_graded_window_decides_large_f2_windows(m):
+    # 2^(2m+1) combinations; the atoms' generated ideals decide these
+    # windows with no search
+    shape = classify_field_shape(field_top_green(2, 2))
+    window = BoxWindow(2, m, m)
+    cert = graded_field_window_check(em_tower(shape, window), window)
+    assert cert.verdict == "no_graded_ideal_in_window"
+
+
+def test_graded_window_search_budget(monkeypatch):
+    monkeypatch.setattr(grading, "MAX_GRADED_COMBINATIONS", 1)
+    with pytest.raises(WindowOverflow, match="search budget"):
+        graded_field_window_check(laurent_f2_tower([deg2(0, 0), deg2(1, 0)]), BoxWindow(2, 1, 0))
 
 
 def test_graded_window_burnside_witness():
@@ -318,6 +359,102 @@ def brute_force_window_check(tower, window):
             }
             return {"window_partial": True, "verdict": "witness", "witness": witness}
     return {"window_partial": True, "verdict": "no_graded_ideal_in_window"}
+
+
+# small towers: constant F_2, constant F_3 and F_4 with the Frobenius, with
+# zero pairings, or scalar ones where a constant F_p piece multiplies a piece
+# of characteristic p into itself
+
+
+KINDS = {  # name -> (characteristic, Green functor)
+    "F2": (2, constant_green(2, 2)),
+    "F3": (3, constant_green(2, 3)),
+    "F4": (2, f4_frobenius_green()),
+}
+SMALL_DEGREES = [deg2(-1, 0), deg2(0, 0), deg2(1, 0), deg2(0, 1), deg2(1, 1)]
+
+
+def _scalar_allowed(k1, k2, ks):
+    """Whether ``k1`` times ``k2`` into ``ks`` has a scalar pairing: one
+    factor is constant F_p and the other is ``ks`` of characteristic p."""
+    char = {k: p for k, (p, _) in KINDS.items()}
+    return any(
+        scalar in ("F2", "F3") and other == ks and char[scalar] == char[other]
+        for scalar, other in ((k1, k2), (k2, k1))
+    )
+
+
+@st.composite
+def small_towers(draw):
+    degrees = draw(st.lists(st.sampled_from(SMALL_DEGREES), min_size=1, max_size=4, unique=True))
+    kinds = {d: draw(st.sampled_from(sorted(KINDS))) for d in degrees}
+    pieces = {d: KINDS[k][1].underlying for d, k in kinds.items()}
+    pairings = {}
+    for d1 in degrees:
+        for d2 in degrees:
+            s = d1 + d2
+            if s not in pieces:
+                continue
+            a, b, c = pieces[d1], pieces[d2], pieces[s]
+            if _scalar_allowed(kinds[d1], kinds[d2], kinds[s]) and draw(st.booleans()):
+                top = IntMatrix.identity(c.top.num_generators)
+                bottom = IntMatrix.identity(c.bottom.num_generators)
+            else:
+                top = IntMatrix.zeros(
+                    c.top.num_generators, a.top.num_generators * b.top.num_generators
+                )
+                bottom = IntMatrix.zeros(
+                    c.bottom.num_generators, a.bottom.num_generators * b.bottom.num_generators
+                )
+            pairings[(d1, d2)] = pairing_from_matrices(a, b, c, top, bottom)
+    return GradedGreenTower(2, pieces, pairings)
+
+
+SMALL_WINDOW = BoxWindow(2, 1, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_towers())
+def test_graded_window_matches_brute_force_on_small_towers(tower):
+    cert = graded_field_window_check(tower, SMALL_WINDOW)
+    assert cert.to_json() == brute_force_window_check(tower, SMALL_WINDOW)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_towers())
+def test_least_ideal_of_each_atom_is_the_intersection_of_the_ideals_containing_it(tower):
+    degrees = [d for d in SMALL_WINDOW.degrees() if d in tower.pieces]
+    lattices = _WindowLattices(tower, degrees)
+    pairs = [
+        (d1, d2, d1 + d2) for d1 in degrees for d2 in degrees if d1 + d2 in tower.pieces
+    ]
+    ideals = []
+    for combo in iproduct(*lattices.subs):
+        choice = dict(zip(degrees, combo))
+        if all(products_land_in(tower, d1, d2, choice[d2], choice[d]) for d1, d2, d in pairs):
+            ideals.append(combo)
+
+    def contains(big, small):
+        return big.top_elements >= small.top_elements and big.bottom_elements >= small.bottom_elements
+
+    seeds = list(lattices.atom_seeds())
+    # the seeds are the atoms: the minimal nonzero subfunctors of each degree
+    for t, subs in enumerate(lattices.subs):
+        nonzero = [a for a in subs if not a.is_zero()]
+        atoms = {
+            k for k, a in enumerate(subs)
+            if not a.is_zero() and not any(b is not a and contains(a, b) for b in nonzero)
+        }
+        assert {seed[t] for seed in seeds if seed[t] != lattices.zeros[t]} == atoms
+    for seed in seeds:
+        generators = [subs[k] for subs, k in zip(lattices.subs, seed)]
+        # the all-full combination is one of them, so the list is not empty
+        containing = [ideal for ideal in ideals if all(map(contains, ideal, generators))]
+        least = lattices.least_ideal(seed)
+        for t, subs in enumerate(lattices.subs):
+            top = frozenset.intersection(*(ideal[t].top_elements for ideal in containing))
+            bottom = frozenset.intersection(*(ideal[t].bottom_elements for ideal in containing))
+            assert (subs[least[t]].top_elements, subs[least[t]].bottom_elements) == (top, bottom)
 
 
 def products_land_in(tower, d1, d2, sub, target):
