@@ -39,6 +39,10 @@ class PrimeMismatch(MackeyboxError):
     pass
 
 
+class LevelMismatch(MackeyboxError, ValueError):
+    """A structure map or level map that does not run between its levels."""
+
+
 class IncompatiblePairing(MackeyboxError):
     def __init__(self, condition, message=""):
         self.condition = condition

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .boxtensor import box
-from .errors import InfiniteGroup, PrimeMismatch, UnclassifiedField, WindowOverflow
-from .exactlin import finite_model
+from .errors import InfiniteGroup, UnclassifiedField, WindowOverflow
 from .green import (
     FieldShape,
     GreenFunctor,
-    _left_products,
+    _product_tables,
     ideal_generated_by,
     subgroup_is_full,
     subgroup_is_zero,
@@ -26,7 +25,7 @@ from .green import (
 from .intlinalg import IntMatrix
 from .mackey import (
     MackeyFunctor,
-    _image_table,
+    _same_prime,
     enumerate_subfunctors,
     j_bottom,
     mackey_direct_sum,
@@ -86,11 +85,6 @@ class RODegree:
 
     def to_json(self):
         return {"a": self.a, "m": list(self.m)}
-
-
-def _same_prime(p, q):
-    if p != q:
-        raise PrimeMismatch(f"degrees or functors over C_{p} and C_{q} do not combine")
 
 
 def rotating_sign(alpha: RODegree, beta: RODegree):
@@ -169,9 +163,6 @@ class GradedGreenTower:
     pieces: dict  # RODegree -> MackeyFunctor (missing = zero)
     pairings: dict  # (RODegree, RODegree) -> BilinearPairing
 
-    def piece(self, deg):
-        return self.pieces.get(deg, zero_mackey(self.prime))
-
 
 def em_tower(shape: FieldShape, window) -> GradedGreenTower:
     """Graded tower of homotopy functors with the induced multiplications.
@@ -242,7 +233,11 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     generated-ideal probe (transfers of generators first); the probe can
     only produce witnesses, never a certificate.
     """
-    degrees = [d for d in window.degrees() if d in tower.pieces]
+    # the tower's pieces in the window, in the order of ``window.degrees()``
+    degrees = sorted(
+        (d for d in tower.pieces if d.prime == window.prime and window.contains(d)),
+        key=lambda d: (d.a, d.m),
+    )
     if not degrees:
         raise ValueError("tower has no nonzero pieces in the window")
     infinite = [d for d in degrees if not tower.pieces[d].levels_finite()]
@@ -400,11 +395,7 @@ def _subfunctor_sets(piece):
     the piece's finite models; and for each, the indices of the subfunctors
     that contain it."""
     subs = enumerate_subfunctors(piece)
-    top, bottom = finite_model(piece.top).index, finite_model(piece.bottom).index
-    sets = [
-        (frozenset(top[c] for c in sub.top_elements), frozenset(bottom[c] for c in sub.bottom_elements))
-        for sub in subs
-    ]
+    sets = [sub._positions for sub in subs]
     above = [
         frozenset(j for j, (t2, b2) in enumerate(sets) if t1 <= t2 and b1 <= b2) for t1, b1 in sets
     ]
@@ -423,11 +414,7 @@ def _verdict_table(pairing, ring, piece, target, sources, targets):
         (pairing.f_top.matrix, ring.top, piece.top, target.top),
         (pairing.f_bot.matrix, ring.bottom, piece.bottom, target.bottom),
     )):
-        model, target_model = finite_model(level), finite_model(target_level)
-        tables = [
-            _image_table(action, model, target_model)
-            for action in _left_products(mult, ring_level.num_generators, level.num_generators)
-        ]
+        tables = _product_tables(mult, ring_level, level, target_level)
         images.append([frozenset(table[x] for table in tables for x in sets[side]) for sets in sources])
     return [
         frozenset(k for k, (t, b) in enumerate(targets) if top <= t and bottom <= b)
@@ -477,9 +464,6 @@ class GradedMackey:
 
     prime: int
     pieces: dict
-
-    def piece(self, deg):
-        return self.pieces.get(deg, zero_mackey(self.prime))
 
     def support(self):
         return [d for d, m in self.pieces.items() if not m.is_zero()]

@@ -42,10 +42,10 @@ from .mackey import (
     ValidationCheck,
     ValidationReport,
     _hom_eq_check,
+    _image_table,
     burnside,
     constant,
     enumerate_subfunctors,
-    first_escape,
     j_bottom,
     j_top,
     validate_mackey,
@@ -76,16 +76,16 @@ class GreenFunctor:
         return _commutativity(self).passed
 
     @cached_property
-    def _ideal_products(self):
-        """Per level (top, bottom), the 2n maps x -> e_i * x and then
-        x -> x * e_i, one per generator e_i of that level.  Built on first
-        use by ``is_ideal`` and kept in the instance ``__dict__``, outside
-        equality and hashing, like ``FGAbPresentation._smith``."""
+    def _ideal_tables(self):
+        """Per level (top, bottom), the ``_product_tables`` of x -> e_i * x
+        and then of x -> x * e_i.  Built on first use by ``is_ideal`` and kept
+        outside equality and hashing, like ``FGAbPresentation._smith``."""
         m = self.underlying
         out = []
         for pres, mult in ((m.top, self.mult.f_top.matrix), (m.bottom, self.mult.f_bot.matrix)):
             n = pres.num_generators
-            out.append(_left_products(mult, n, n) + _left_products(_swapped(mult, n, n), n, n))
+            left = _product_tables(mult, pres, pres, pres)
+            out.append(left + _product_tables(_swapped(mult, n, n), pres, pres, pres))
         return tuple(out)
 
     def to_json(self):
@@ -254,16 +254,19 @@ def _bilinear_vec(matrix, x, y):
     return _apply(matrix, vector_tensor(x, y))
 
 
-def _left_products(matrix, n_left, n_right):
-    """The maps y -> e_i * y of a pairing matrix, one per left generator e_i.
+def _product_tables(mult, ring_level, level, target_level):
+    """One ``_image_table`` from ``level`` to ``target_level`` per generator
+    e_i of ``ring_level``: the position of e_i * y for each element y.
 
-    Column i * n_right + j of the matrix is e_i * f_j, so each map is a
-    block of n_right consecutive columns.
+    Column i * n + j of the pairing matrix ``mult`` is e_i * f_j, with n the
+    number of generators f_j of ``level``, so the map y -> e_i * y is a
+    block of n consecutive columns.
     """
-    return [
-        IntMatrix([row[i * n_right : (i + 1) * n_right] for row in matrix.rows], n_right)
-        for i in range(n_left)
-    ]
+    n = level.num_generators
+    model, target_model = finite_model(level), finite_model(target_level)
+    blocks = (IntMatrix([row[i * n : (i + 1) * n] for row in mult.rows], n)
+              for i in range(ring_level.num_generators))
+    return [_image_table(block, model, target_model) for block in blocks]
 
 
 def _swapped(matrix, n_left, n_right):
@@ -364,21 +367,25 @@ def is_ideal(g: GreenFunctor, sub: Subfunctor):
     for every generator e_i of that level of the ring.  The pairing is
     bilinear and each level of ``sub`` is a subgroup, so this holds exactly
     when every product of a ring element and an element of ``sub``, on
-    either side, lies in ``sub``.  Each such map is a column slice of the
-    pairing matrix, built once per ring (``GreenFunctor._ideal_products``),
-    and its images are looked up in the element sets of ``sub``; no
-    presentation of ``sub`` is built.
+    either side, lies in ``sub``.  Each such map is tabulated once per ring
+    on element positions (``GreenFunctor._ideal_tables``), so closure is a
+    lookup per position of ``sub`` (``Subfunctor._positions``).  The witness
+    is the first escape, map by map and in ascending position (sorted
+    canonical coordinates), computed in generator coordinates for that one
+    element only.  No presentation of ``sub`` is built.
     """
     m = g.underlying
-    top_products, bottom_products = g._ideal_products
-    for level, pres, products, elements in (
-        ("top", m.top, top_products, sub.top_elements),
-        ("bottom", m.bottom, bottom_products, sub.bottom_elements),
+    for level, pres, mult, tables, positions in zip(
+        ("top", "bottom"), (m.top, m.bottom), (g.mult.f_top.matrix, g.mult.f_bot.matrix),
+        g._ideal_tables, sub._positions,
     ):
-        model = finite_model(pres)
-        for action in products:
-            prod = first_escape(action, model, elements, model, elements)
-            if prod is not None:
+        ordered = sorted(positions)
+        for i, table in enumerate(tables):
+            x = next((x for x in ordered if table[x] not in positions), None)
+            if x is not None:
+                model, n = finite_model(pres), pres.num_generators
+                e, y = IntMatrix.identity(n).rows[i % n], model.from_canonical(model.elements[x])
+                prod = _bilinear_vec(mult, e, y) if i < n else _bilinear_vec(mult, y, e)
                 return False, f"{level} product {list(prod)} escapes the subfunctor"
     return True, ""
 

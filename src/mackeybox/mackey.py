@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InfiniteGroup, NotAComplex, NotAMackeyMap, NotAnAction, NotPrime
+from .errors import (InfiniteGroup, LevelMismatch, NotAComplex, NotAMackeyMap, NotAnAction,
+                     NotPrime, PrimeMismatch)
 from .exactlin import (
     AbHom,
     FGAbPresentation,
@@ -52,6 +53,11 @@ def require_prime(p):
         raise NotPrime(f"{p} is not prime")
 
 
+def _same_prime(p, q):
+    if p != q:
+        raise PrimeMismatch(f"degrees or functors over C_{p} and C_{q} do not combine")
+
+
 @dataclass(frozen=True)
 class MackeyFunctor:
     prime: int
@@ -62,9 +68,11 @@ class MackeyFunctor:
     weyl: AbHom  # bottom -> bottom, generator action
 
     def __post_init__(self):
-        assert self.tr.source == self.bottom and self.tr.target == self.top
-        assert self.res.source == self.top and self.res.target == self.bottom
-        assert self.weyl.source == self.bottom and self.weyl.target == self.bottom
+        for name, source, target in (("tr", "bottom", "top"), ("res", "top", "bottom"),
+                                     ("weyl", "bottom", "bottom")):
+            hom = getattr(self, name)
+            if (hom.source, hom.target) != (getattr(self, source), getattr(self, target)):
+                raise LevelMismatch(f"{name} must run from the {source} to the {target} level")
 
     def is_zero(self):
         return self.top.is_zero_group() and self.bottom.is_zero_group()
@@ -151,10 +159,10 @@ class MackeyMap:
     f_bot: AbHom
 
     def __post_init__(self):
-        assert self.source.prime == self.target.prime
+        _same_prime(self.source.prime, self.target.prime)
         ends = (self.f_top.source, self.f_top.target, self.f_bot.source, self.f_bot.target)
         if ends != (self.source.top, self.target.top, self.source.bottom, self.target.bottom):
-            raise ValueError("level maps do not run between the functors' levels")
+            raise LevelMismatch("level maps do not run between the functors' levels")
         failures = self.compatibility_failures()
         if failures:
             raise NotAMackeyMap(failures)
@@ -285,7 +293,7 @@ def j_bottom(p, v: FGAbPresentation, gamma: AbHom) -> MackeyFunctor:
 
 def mackey_direct_sum(a: MackeyFunctor, b: MackeyFunctor):
     """(sum, incl_a, incl_b)."""
-    assert a.prime == b.prime
+    _same_prime(a.prime, b.prime)
     top, ia_t, ib_t, _, _ = direct_sum(a.top, b.top)
     bot, ia_b, ib_b, pa_b, pb_b = direct_sum(a.bottom, b.bottom)
 
@@ -316,8 +324,8 @@ class Subfunctor:
 
     ``top_elements`` and ``bottom_elements`` are canonical coordinates in the
     parent's finite models.  Closure tests and ideal tests read only these
-    sets; the presented subfunctor and its inclusion are built on first use
-    of ``include`` or ``functor`` and then kept.
+    sets, as positions (``_positions``); the presented subfunctor and its
+    inclusion are built on first use of ``include`` or ``functor`` and kept.
     """
 
     parent: MackeyFunctor
@@ -340,6 +348,14 @@ class Subfunctor:
     def functor(self) -> MackeyFunctor:
         return self.include.source
 
+    @cached_property
+    def _positions(self):
+        """(top, bottom): the element sets as frozensets of positions in the
+        parent's finite models, kept like ``include``."""
+        top, bottom = finite_model(self.parent.top).index, finite_model(self.parent.bottom).index
+        return (frozenset(map(top.__getitem__, self.top_elements)),
+                frozenset(map(bottom.__getitem__, self.bottom_elements)))
+
     def is_full(self):
         parent = self.parent
         tm = finite_model(parent.top)
@@ -350,24 +366,14 @@ class Subfunctor:
         return len(self.top_elements) == 1 and len(self.bottom_elements) == 1
 
 
-def first_escape(matrix: IntMatrix, model, elements, target_model, target_elements):
-    """The first image ``matrix @ x``, x in ``elements`` (canonical
-    coordinates in ``model``) in sorted order, whose canonical coordinates in
-    ``target_model`` are not in ``target_elements``; None if there is none."""
-    for c in sorted(elements):
-        img = _apply(matrix, model.from_canonical(c))
-        if target_model.to_canonical(img) not in target_elements:
-            return img
-    return None
-
-
 def _image_table(matrix: IntMatrix, model, target_model):
     """Position in ``target_model`` of ``matrix @ x`` for each element x of
-    ``model``, by position."""
-    index = target_model.index
+    ``model``, by position: one product per element, with the matrix taken
+    from canonical coordinates to the target's decomposition coordinates."""
+    index, moduli = target_model.index, target_model.moduli
+    canonical = target_model.u @ matrix @ model.u_inv
     return [
-        index[target_model.to_canonical(_apply(matrix, model.from_canonical(c)))]
-        for c in model.elements
+        index[tuple(x % d for x, d in zip(_apply(canonical, c), moduli))] for c in model.elements
     ]
 
 
@@ -429,10 +435,6 @@ class MackeyChainComplex:
             comp = self.differentials[n - 1].compose(self.differentials[n])
             if not comp.is_zero():
                 raise NotAComplex(f"d.d != 0 between degrees {n} and {n-2}")
-
-    def object(self, n):
-        p = next(iter(self.objects.values())).prime
-        return self.objects.get(n, zero_mackey(p))
 
 
 def _level_homology_data(d_out: AbHom, d_in: AbHom):

@@ -245,12 +245,12 @@ def standard_circle(truncation) -> SimplicialGSet:
     return x.validate()
 
 
-def edgewise_subdivision(x: SimplicialGSet, r, attach_rotation=True) -> SimplicialGSet:
+def edgewise_subdivision(x: SimplicialGSet, r) -> SimplicialGSet:
     """r-fold edgewise subdivision; level n comes from level (n+1)r - 1.
 
     When the input carries a cyclic operator and a trivial action, the
-    rotation action of order r (the operator to the power n + 1) is
-    attached; otherwise the input action is carried over.
+    result carries the rotation action of order r (the operator to the
+    power n + 1); otherwise the input action and order are carried over.
     """
     if r < 1:
         raise ValueError("subdivision arity must be positive")
@@ -293,7 +293,7 @@ def edgewise_subdivision(x: SimplicialGSet, r, attach_rotation=True) -> Simplici
     if x.cyclic is not None:
         cyclic = [list(x.cyclic[(n + 1) * r - 1]) for n in range(new_trunc + 1)]
     trivial_input = all(a == list(range(len(a))) for a in x.action)
-    if attach_rotation and trivial_input and cyclic is not None:
+    if trivial_input and cyclic is not None:
         # rotation by one r-th of the circle: the cyclic operator to the n+1
         order = r
         action = []

@@ -292,6 +292,17 @@ def test_graded_window_witness_matches_brute_force(tower):
     assert cert == brute_force_window_check(tower, window)
 
 
+def test_graded_window_takes_the_window_degrees_in_window_order():
+    # pieces outside the window are ignored, and the degrees are searched in
+    # the order of ``window.degrees()`` whatever the order of ``tower.pieces``
+    window = BoxWindow(2, 1, 0)
+    inside = [deg2(-1, 0), deg2(0, 0), deg2(1, 0)]
+    want = graded_field_window_check(laurent_f2_tower(inside), window).to_json()
+    shuffled = laurent_f2_tower([deg2(1, 0), deg2(2, 0), deg2(0, 1), deg2(0, 0), deg2(-1, 0)])
+    got = graded_field_window_check(shuffled, window).to_json()
+    assert got == want and list(got["witness"]) == [d.key() for d in inside]
+
+
 def zero_product_tower(pieces):
     """``pieces`` (degree -> Mackey functor) with every product zero, so that
     every combination of subfunctors is a graded ideal and only the skipped

@@ -47,7 +47,6 @@ from mackeybox.mackey import (
     canonical_levels,
     constant,
     enumerate_subfunctors,
-    first_escape,
     identity_map,
     validate_mackey,
     zero_mackey,
@@ -148,7 +147,7 @@ def escaping_sides(g, sub):
     return sides
 
 
-@pytest.mark.parametrize(
+IDEAL_RINGS = pytest.mark.parametrize(
     "g",
     [
         constant_green(2, 2),
@@ -160,9 +159,51 @@ def escaping_sides(g, sub):
     ],
     ids=["constant-2-2", "constant-2-4", "constant-3-9", "f4", "field-top-2-2", "upper-triangular"],
 )
+
+
+@IDEAL_RINGS
 def test_is_ideal_matches_brute_force(g):
     for sub in enumerate_subfunctors(g.underlying):
         assert is_ideal(g, sub)[0] == (not escaping_sides(g, sub)), sub
+
+
+def first_escape(matrix, model, elements, target_model, target_elements):
+    """Oracle closure test that tabulates nothing: the first image
+    ``matrix @ x``, x in ``elements`` (canonical coordinates in ``model``) in
+    sorted order, whose canonical coordinates in ``target_model`` are not in
+    ``target_elements``; None if there is none."""
+    for c in sorted(elements):
+        x = model.from_canonical(c)
+        img = tuple(sum(a * b for a, b in zip(row, x)) for row in matrix.rows)
+        if target_model.to_canonical(img) not in target_elements:
+            return img
+    return None
+
+
+def ideal_by_column_slices(g, sub):
+    """Oracle for the flag and witness of ``is_ideal``: at each level, the
+    maps y -> e_i * y and then y -> y * e_i as column slices of the pairing
+    matrix (column i * n + j is e_i * e_j), each tested with ``first_escape``."""
+    m = g.underlying
+    for level, pres, mult, elements in (
+        ("top", m.top, g.mult.f_top.matrix, sub.top_elements),
+        ("bottom", m.bottom, g.mult.f_bot.matrix, sub.bottom_elements),
+    ):
+        model, n = finite_model(pres), pres.num_generators
+        left = [[i * n + j for j in range(n)] for i in range(n)]
+        right = [[j * n + i for j in range(n)] for i in range(n)]
+        for columns in left + right:
+            action = IntMatrix([[row[k] for k in columns] for row in mult.rows], n)
+            prod = first_escape(action, model, elements, model, elements)
+            if prod is not None:
+                return False, f"{level} product {list(prod)} escapes the subfunctor"
+    return True, ""
+
+
+@IDEAL_RINGS
+def test_is_ideal_witness_matches_column_slice_oracle(g):
+    for sub in enumerate_subfunctors(g.underlying):
+        assert is_ideal(g, sub) == ideal_by_column_slices(g, sub), sub
 
 
 def test_is_ideal_checks_right_multiplication():
@@ -178,9 +219,9 @@ def test_is_ideal_checks_right_multiplication():
     ]
     # span{E11} is a left ideal but not a right one: E11 * E12 = E12
     assert escaping_sides(g, sub) == {"right"}
-    flag, witness = is_ideal(g, sub)
-    assert not flag
-    assert witness.endswith("escapes the subfunctor")
+    # the top is the whole ring (trivial action): E11 * E12 = E12 escapes,
+    # found among the right products, after every left one passes
+    assert is_ideal(g, sub) == (False, "top product [0, 1, 0] escapes the subfunctor")
 
 
 Z_PLUS_Z2 = FGAbPresentation(2, IntMatrix([[0, 2]]))

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from mackeybox.errors import (
     IllFormedHom,
     InfiniteGroup,
+    LevelMismatch,
     MackeyboxError,
     NotAMackeyMap,
     NotAnAction,
     NotPrime,
+    PrimeMismatch,
 )
 from mackeybox.exactlin import (
     AbHom,
@@ -35,7 +37,6 @@ from mackeybox.mackey import (
     canonical_levels,
     constant,
     enumerate_subfunctors,
-    first_escape,
     homology_of_complex,
     identity_map,
     j_bottom,
@@ -125,6 +126,28 @@ def test_incompatible_map_raises_typed_error_with_witness():
         "not a map of Mackey functors: action not respected (generator 0 maps to [0, 1])"
     )
     assert isinstance(err.value, MackeyboxError) and isinstance(err.value, ValueError)
+
+
+def test_structure_map_between_wrong_levels_raises_typed_error():
+    # typed errors, not asserts: these hold under python -O as well
+    c = constant(2, 2)
+    with pytest.raises(LevelMismatch, match="tr must run from the bottom to the top level"):
+        MackeyFunctor(2, c.top, cyclic_group(4), c.tr, c.res, c.weyl)
+    with pytest.raises(LevelMismatch, match="res must run from the top to the bottom level"):
+        MackeyFunctor(2, c.top, c.bottom, c.tr, identity_hom(cyclic_group(4)), c.weyl)
+    with pytest.raises(LevelMismatch, match="weyl must run from the bottom to the bottom level"):
+        MackeyFunctor(2, c.top, c.bottom, c.tr, c.res, identity_hom(cyclic_group(4)))
+    with pytest.raises(LevelMismatch) as err:
+        MackeyMap(c, constant(2, 4), identity_hom(c.top), identity_hom(c.bottom))
+    assert isinstance(err.value, MackeyboxError) and isinstance(err.value, ValueError)
+
+
+def test_mixed_primes_raise_prime_mismatch():
+    c2, c3 = constant(2, 2), constant(3, 2)
+    with pytest.raises(PrimeMismatch, match="C_2 and C_3"):
+        MackeyMap(c2, c3, identity_hom(c2.top), identity_hom(c2.bottom))
+    with pytest.raises(PrimeMismatch, match="C_3 and C_2"):
+        mackey_direct_sum(c3, c2)
 
 
 def test_not_prime_rejected():
@@ -271,6 +294,19 @@ def test_subfunctors_in_strict_key_order(m):
     ]
     assert len(keys) > 2
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def first_escape(matrix, model, elements, target_model, target_elements):
+    """Oracle closure test that tabulates nothing: the first image
+    ``matrix @ x``, x in ``elements`` (canonical coordinates in ``model``) in
+    sorted order, whose canonical coordinates in ``target_model`` are not in
+    ``target_elements``; None if there is none."""
+    for c in sorted(elements):
+        x = model.from_canonical(c)
+        img = tuple(sum(a * b for a, b in zip(row, x)) for row in matrix.rows)
+        if target_model.to_canonical(img) not in target_elements:
+            return img
+    return None
 
 
 def brute_force_subfunctors(m):
