@@ -1,8 +1,11 @@
 """Green functors, their modules and ideals, and Mackey-field detection.
 
 A Green functor is a Mackey functor with a unit map from the Burnside
-functor and a multiplication pairing.  Field detection is brute force over
-the subfunctor lattice, which is the point: the classification of fields
+functor and a multiplication pairing.  Field detection is exact on finite
+levels: a commutative Green functor is a field when every nonzero element
+generates the whole functor as an ideal, which one closure per element
+decides on tabulated level maps, and otherwise the subfunctor lattice is
+walked for a deterministic witness ideal.  The classification of fields
 into the two normal forms (concentrated at the fixed orbit, or the fixed
 points of a ring with action) is then checked against actual data rather
 than assumed.
@@ -41,8 +44,10 @@ from .mackey import (
     Subfunctor,
     ValidationCheck,
     ValidationReport,
+    _closure,
     _hom_eq_check,
     _image_table,
+    _map_tables,
     burnside,
     constant,
     enumerate_subfunctors,
@@ -75,18 +80,26 @@ class GreenFunctor:
         self.mult.validate()
         return _commutativity(self).passed
 
+    def _levels(self):
+        m = self.underlying
+        return (m.top, self.mult.f_top.matrix), (m.bottom, self.mult.f_bot.matrix)
+
+    @cached_property
+    def _left_tables(self):
+        """Per level (top, bottom), the ``_product_tables`` of x -> e_i * x.
+        Built on first use and kept outside equality and hashing, like
+        ``FGAbPresentation._smith``."""
+        return tuple(_product_tables(mult, pres, pres, pres) for pres, mult in self._levels())
+
     @cached_property
     def _ideal_tables(self):
-        """Per level (top, bottom), the ``_product_tables`` of x -> e_i * x
-        and then of x -> x * e_i.  Built on first use by ``is_ideal`` and kept
-        outside equality and hashing, like ``FGAbPresentation._smith``."""
-        m = self.underlying
-        out = []
-        for pres, mult in ((m.top, self.mult.f_top.matrix), (m.bottom, self.mult.f_bot.matrix)):
-            n = pres.num_generators
-            left = _product_tables(mult, pres, pres, pres)
-            out.append(left + _product_tables(_swapped(mult, n, n), pres, pres, pres))
-        return tuple(out)
+        """Per level, the ``_left_tables`` and then the ``_product_tables`` of
+        x -> x * e_i, kept like ``_left_tables``."""
+        return tuple(
+            left + _product_tables(_swapped(mult, pres.num_generators, pres.num_generators),
+                                   pres, pres, pres)
+            for left, (pres, mult) in zip(self._left_tables, self._levels())
+        )
 
     def to_json(self):
         d = self.underlying.to_json()
@@ -367,27 +380,38 @@ def is_ideal(g: GreenFunctor, sub: Subfunctor):
     for every generator e_i of that level of the ring.  The pairing is
     bilinear and each level of ``sub`` is a subgroup, so this holds exactly
     when every product of a ring element and an element of ``sub``, on
-    either side, lies in ``sub``.  Each such map is tabulated once per ring
-    on element positions (``GreenFunctor._ideal_tables``), so closure is a
-    lookup per position of ``sub`` (``Subfunctor._positions``).  The witness
-    is the first escape, map by map and in ascending position (sorted
-    canonical coordinates), computed in generator coordinates for that one
+    either side, lies in ``sub``.  The witness is the first escape found by
+    ``_first_escape``, computed in generator coordinates for that one
     element only.  No presentation of ``sub`` is built.
     """
-    m = g.underlying
-    for level, pres, mult, tables, positions in zip(
-        ("top", "bottom"), (m.top, m.bottom), (g.mult.f_top.matrix, g.mult.f_bot.matrix),
-        g._ideal_tables, sub._positions,
-    ):
+    escape = _first_escape(g, sub)
+    if escape is None:
+        return True, ""
+    level, i, x = escape
+    pres, mult = g._levels()[level]
+    model, n = finite_model(pres), pres.num_generators
+    e, y = IntMatrix.identity(n).rows[i % n], model.from_canonical(model.elements[x])
+    prod = _bilinear_vec(mult, e, y) if i < n else _bilinear_vec(mult, y, e)
+    return False, f"{('top', 'bottom')[level]} product {list(prod)} escapes the subfunctor"
+
+
+def _first_escape(g: GreenFunctor, sub: Subfunctor):
+    """The first (level, table, position) at which ``sub`` is not closed
+    under ``g``'s products, or None for an ideal.
+
+    Levels run top then bottom (0, 1), tables in the order of
+    ``GreenFunctor._ideal_tables`` (left products, then right ones), and
+    positions of ``sub`` (``Subfunctor._positions``) in ascending order,
+    which is the order of sorted canonical coordinates.  Each map is
+    tabulated once per ring, so the test is one lookup per position.
+    """
+    for level, (tables, positions) in enumerate(zip(g._ideal_tables, sub._positions)):
         ordered = sorted(positions)
         for i, table in enumerate(tables):
             x = next((x for x in ordered if table[x] not in positions), None)
             if x is not None:
-                model, n = finite_model(pres), pres.num_generators
-                e, y = IntMatrix.identity(n).rows[i % n], model.from_canonical(model.elements[x])
-                prod = _bilinear_vec(mult, e, y) if i < n else _bilinear_vec(mult, y, e)
-                return False, f"{level} product {list(prod)} escapes the subfunctor"
-    return True, ""
+                return level, i, x
+    return None
 
 
 @dataclass(frozen=True)
@@ -412,10 +436,14 @@ class FieldVerdict:
 def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
     """Whether ``g`` has no proper nonzero ideal, with a deterministic witness.
 
-    Walks the subfunctors of ``enumerate_subfunctors`` (bottoms are the
-    action-stable subgroups only) in Hermite-key order and tests each
-    proper nonzero one with ``is_ideal``; the first ideal found is the
-    witness.
+    A commutative Green functor has a proper nonzero ideal exactly when some
+    nonzero element generates a proper ideal (Nakaoka, "Ideals of Tambara
+    functors", Adv. Math. 230, 2012), so the verdict is decided by one
+    closure per element (``_every_element_generates``), with no lattice.
+    Only when a proper ideal exists are the subfunctors of
+    ``enumerate_subfunctors`` (bottoms are the action-stable subgroups only)
+    walked in Hermite-key order, testing each proper nonzero one for
+    closure under the products; the first ideal found is the witness.
     """
     m = g.underlying
     if m.is_zero():
@@ -424,13 +452,42 @@ def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
         raise InfiniteGroup("field detection requires finite levels")
     if not g.is_commutative():
         raise NotCommutative("field detection requires a commutative Green functor")
+    if _every_element_generates(g):
+        return FieldVerdict(True, None)
     for sub in enumerate_subfunctors(m):
         if sub.is_zero() or sub.is_full():
             continue
-        flag, _ = is_ideal(g, sub)
-        if flag:
+        if _first_escape(g, sub) is None:
             return FieldVerdict(False, sub)
     return FieldVerdict(True, None)
+
+
+def _every_element_generates(g: GreenFunctor):
+    """Whether the ideal generated by each nonzero element of a commutative
+    ``g``, at either level, is all of ``g``.
+
+    The ideal of x is ``mackey._closure`` of x under the level maps and the
+    left products by the ring's generators (left products suffice, as ``g``
+    is commutative).  Elements whose ideal is everything are collected as
+    ``complete``, and a later closure stops as soon as it meets one of them.
+    The top unit goes first, so it is usually the first complete element;
+    the bottom unit is not one in general: in ``constant_green(2, 2)`` the
+    transfer is zero, and the ideal of 1_bot is (0, Z/2).
+    """
+    top, bottom, res, tr, weyl = _map_tables(g.underlying)
+    models = (top, bottom)
+    complete = (set(), set())
+    zeros = [model.index[model.zero()] for model in models]
+    seeds = [(0, top.index[top.to_canonical(g.one_top())])]
+    seeds += [(level, x) for level, model in enumerate(models) for x in range(len(model.elements))]
+    for level, x in seeds:
+        if x == zeros[level] or x in complete[level]:
+            continue
+        ideal = _closure(models, res, tr, weyl, g._left_tables, (level, x), complete)
+        if ideal is not None and (len(ideal[0]), len(ideal[1])) != (top.order(), bottom.order()):
+            return False
+        complete[level].add(x)
+    return True
 
 
 @dataclass(frozen=True)

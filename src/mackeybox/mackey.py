@@ -324,7 +324,8 @@ class Subfunctor:
 
     ``top_elements`` and ``bottom_elements`` are canonical coordinates in the
     parent's finite models.  Closure tests and ideal tests read only these
-    sets, as positions (``_positions``); the presented subfunctor and its
+    sets, as positions (``_positions``, which ``enumerate_subfunctors`` hands
+    over as it builds each subfunctor); the presented subfunctor and its
     inclusion are built on first use of ``include`` or ``functor`` and kept.
     """
 
@@ -351,7 +352,8 @@ class Subfunctor:
     @cached_property
     def _positions(self):
         """(top, bottom): the element sets as frozensets of positions in the
-        parent's finite models, kept like ``include``."""
+        parent's finite models, kept like ``include``; converted through
+        ``FiniteModel.index`` only for subfunctors built elsewhere."""
         top, bottom = finite_model(self.parent.top).index, finite_model(self.parent.bottom).index
         return (frozenset(map(top.__getitem__, self.top_elements)),
                 frozenset(map(bottom.__getitem__, self.bottom_elements)))
@@ -377,6 +379,66 @@ def _image_table(matrix: IntMatrix, model, target_model):
     ]
 
 
+def _map_tables(m: MackeyFunctor):
+    """(top model, bottom model, res, tr, weyl): the finite models of the
+    levels of ``m`` and its level maps as ``_image_table``s."""
+    tm = finite_model(m.top)
+    bm = finite_model(m.bottom)
+    res = _image_table(m.res.matrix, tm, bm)
+    tr = _image_table(m.tr.matrix, bm, tm)
+    weyl = _image_table(m.weyl.matrix, bm, bm)
+    return tm, bm, res, tr, weyl
+
+
+def _closure(models, res, tr, weyl, products, seed, complete=(frozenset(), frozenset())):
+    """The least subfunctor that contains ``seed`` and is closed under
+    ``res``, ``tr``, ``weyl`` and the ``products`` tables, as (top, bottom)
+    sets of positions; None as soon as it meets a position in ``complete``.
+
+    ``models`` are the (top, bottom) finite models and the tables are
+    ``_image_table``s on their positions; ``products`` holds, per level,
+    tables from that level to itself.  ``seed`` is a (level, position) pair,
+    with level 0 the top and 1 the bottom, and ``complete`` holds per level
+    positions whose closure the caller knows to be everything.  Each level
+    is kept as a subgroup: a new element z is joined by walking the cosets
+    S + z, S + 2z, ... until one falls back into S, and since every map is a
+    homomorphism, only the joined z go on the work list.
+    """
+    maps = (
+        [(1, res)] + [(0, table) for table in products[0]],
+        [(0, tr), (1, weyl)] + [(1, table) for table in products[1]],
+    )
+    sets = tuple({model.index[model.zero()]} for model in models)
+
+    def join(level, z):
+        """Join z into its level's subgroup; False if a complete position
+        came in on the way."""
+        model, joined, stop = models[level], sets[level], complete[level]
+        elements, index, add = model.elements, model.index, model.add
+        step = elements[z]
+        coset = list(joined)
+        while True:
+            coset = [index[add(elements[e], step)] for e in coset]
+            if coset[0] in joined:
+                return True
+            if not stop.isdisjoint(coset):
+                return False
+            joined.update(coset)
+
+    if not join(*seed):
+        return None
+    todo = [seed]
+    while todo:
+        level, z = todo.pop()
+        for target, table in maps[level]:
+            w = table[z]
+            if w not in sets[target]:
+                if not join(target, w):
+                    return None
+                todo.append((target, w))
+    return frozenset(sets[0]), frozenset(sets[1])
+
+
 def enumerate_subfunctors(m: MackeyFunctor):
     """All subfunctors of a finite Mackey functor, in Hermite-key order.
 
@@ -386,15 +448,12 @@ def enumerate_subfunctors(m: MackeyFunctor):
     orbits x, weyl(x), weyl(weyl(x)), ...  Each level map is tabulated once
     on element positions, so both closure tests are set inclusions.  Both
     lattices come Hermite-sorted, so walking top x bottom yields the
-    subfunctors in (top key, bottom key) order.
+    subfunctors in (top key, bottom key) order.  Each subfunctor gets its
+    position sets (``Subfunctor._positions``) from the walk.
     """
     if not m.levels_finite():
         raise InfiniteGroup("subfunctor enumeration requires finite levels")
-    tm = finite_model(m.top)
-    bm = finite_model(m.bottom)
-    res = _image_table(m.res.matrix, tm, bm)
-    tr = _image_table(m.tr.matrix, bm, tm)
-    weyl = _image_table(m.weyl.matrix, bm, bm)
+    tm, bm, res, tr, weyl = _map_tables(m)
     orbits = []
     for x in range(len(bm.elements)):
         orbit = [x]
@@ -409,12 +468,14 @@ def enumerate_subfunctors(m: MackeyFunctor):
         (b, frozenset(tr[x] for x in b), frozenset(bm.elements[x] for x in b))
         for b in _lattice(bm, orbits)
     ]
-    return [
-        Subfunctor(m, top, bottom)
-        for t, res_t, top in tops
-        for b, tr_b, bottom in bottoms
-        if tr_b <= t and res_t <= b
-    ]
+    subs = []
+    for t, res_t, top in tops:
+        for b, tr_b, bottom in bottoms:
+            if tr_b <= t and res_t <= b:
+                sub = Subfunctor(m, top, bottom)
+                sub.__dict__["_positions"] = (t, b)  # what the cached property would compute
+                subs.append(sub)
+    return subs
 
 
 # ---------------------------------------------------------------------------

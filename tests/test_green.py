@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mackeybox import boxtensor, grading, green, simplicial
 from mackeybox.boxtensor import (
@@ -24,6 +28,7 @@ from mackeybox.exactlin import (
     zero_group,
 )
 from mackeybox.green import (
+    FieldVerdict,
     GreenModule,
     TwistedModule,
     burnside_green,
@@ -43,6 +48,8 @@ from mackeybox.green import (
 )
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
+    _closure,
+    _map_tables,
     burnside,
     canonical_levels,
     constant,
@@ -315,6 +322,152 @@ def test_f64_galois_is_field_over_129_submodules():
     stable = {b for b in subgroups if first_escape(m.weyl.matrix, bm, b, bm, b) is None}
     assert (len(subgroups), len(stable)) == (2825, 129)
     assert {s.bottom_elements for s in enumerate_subfunctors(m)} == stable
+
+
+@pytest.mark.parametrize(
+    "n, poly, k",
+    [
+        # x^8 + x^4 + x^3 + x^2 + 1, a -> a^16: the walk takes seconds
+        (8, 0b100011101, 4),
+        # x^10 + x^3 + 1, a -> a^32: the bottom (Z/2)^10 alone has
+        # 229,755,605 subgroups, out of reach of the walk
+        (10, 0b10000001001, 5),
+    ],
+    ids=["F256", "F1024"],
+)
+def test_large_galois_fields_are_decided_without_subfunctor_walk(monkeypatch, n, poly, k):
+    def walk(m):
+        raise AssertionError("a field was decided by walking its subfunctors")
+
+    g = gf2_galois_green(n, poly, k)
+    monkeypatch.setattr(green, "enumerate_subfunctors", walk)
+    assert g.underlying.top.canonical() == (0, (2,) * k)
+    assert is_mackey_field(g).to_json() == {"verdict": "Field"}
+
+
+def test_closure_of_units_in_constant_f2():
+    # tr = 2 = 0 and nothing restricts onto the bottom unit, so 1_bot
+    # generates the proper ideal (0, Z/2) while 1_top generates everything
+    g = constant_green(2, 2)
+    top, bottom, res, tr, weyl = _map_tables(g.underlying)
+    one_top = top.index[top.to_canonical(g.one_top())]
+    one_bot = bottom.index[bottom.to_canonical(g.one_bot())]
+    zero_top, zero_bot = top.index[top.zero()], bottom.index[bottom.zero()]
+    models = (top, bottom)
+
+    def ideal(seed):
+        return _closure(models, res, tr, weyl, g._left_tables, seed)
+
+    assert ideal((1, one_bot)) == (frozenset({zero_top}), frozenset({zero_bot, one_bot}))
+    assert ideal((0, one_top)) == (frozenset({zero_top, one_top}), frozenset({zero_bot, one_bot}))
+    # a closure that meets a complete position stops there
+    assert _closure(models, res, tr, weyl, g._left_tables, (0, one_top),
+                    (frozenset(), frozenset({one_bot}))) is None
+
+
+def field_by_subfunctor_walk(g):
+    """Oracle for ``is_mackey_field`` on a commutative finite ``g``: every
+    proper nonzero subfunctor, in the order of ``enumerate_subfunctors``,
+    tested with ``is_ideal``; the first ideal is the witness."""
+    for sub in enumerate_subfunctors(g.underlying):
+        if not sub.is_zero() and not sub.is_full() and is_ideal(g, sub)[0]:
+            return FieldVerdict(False, sub)
+    return FieldVerdict(True, None)
+
+
+def polynomial_ring(q, low):
+    """(pres, mult, frobenius) of F_q[x]/(f) in the power basis, q prime,
+    for the monic f whose lower coefficients are ``low``, lowest first."""
+    d = len(low)
+
+    def times_x(a):
+        top = a[-1]
+        return tuple((b - top * c) % q for b, c in zip((0,) + a[:-1], low))
+
+    def mul(a, b):
+        out, shifted = (0,) * d, a
+        for coef in b:
+            out = tuple((o + coef * s) % q for o, s in zip(out, shifted))
+            shifted = times_x(shifted)
+        return out
+
+    def power(a, k):
+        out = (1,) + (0,) * (d - 1)
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    basis = IntMatrix.identity(d).rows
+    pres = FGAbPresentation(d, IntMatrix.identity(d).scale(q))
+    mult = IntMatrix.from_columns([mul(a, b) for a in basis for b in basis], d)
+    frobenius = [power(a, q) for a in basis]  # images of the basis, a -> a^q
+    return pres, mult, frobenius
+
+
+def frobenius_order(q, images, bound):
+    """The least k <= bound with Frobenius^k the identity, else None."""
+    d = len(images)
+    identity = [tuple(row) for row in IntMatrix.identity(d).rows]
+    current = identity
+    for k in range(1, bound + 1):
+        current = [tuple(sum(c * img[i] for c, img in zip(x, images)) % q for i in range(d))
+                   for x in current]
+        if current == identity:
+            return k
+    return None
+
+
+def frobenius_rings():
+    """(q, low, order) for every F_q[x]/(f) with q in {2, 3} and f of degree
+    2 or 3 on which the Frobenius has order 2 or 3: fields such as F_4 and
+    F_27, and products such as F_2 x F_4."""
+    out = []
+    for q in (2, 3):
+        for d in (2, 3):
+            for low in product(range(q), repeat=d):
+                order = frobenius_order(q, polynomial_ring(q, low)[2], 3)
+                if order in (2, 3):
+                    out.append((q, low, order))
+    return out
+
+
+@st.composite
+def finite_commutative_greens(draw):
+    """Constant functors on Z/n, concentrated fields, and fixed-point functors
+    of F_q[x]/(f) (reducible or not) under the identity or, where it has
+    order p, the Frobenius."""
+    kind = draw(st.sampled_from(["constant", "field_top", "identity", "frobenius"]))
+    p = draw(st.sampled_from([2, 3]))
+    if kind == "constant":
+        return constant_green(p, draw(st.integers(2, 12)))
+    if kind == "field_top":
+        return field_top_green(p, draw(st.sampled_from([2, 3, 5, 7])))
+    if kind == "identity":
+        q = draw(st.sampled_from([2, 3]))
+        d = draw(st.integers(1, 4 if q == 2 else 3))
+        low = tuple(draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)))
+        pres, mult, _ = polynomial_ring(q, low)
+        action = IntMatrix.identity(d)
+    else:
+        q, low, p = draw(st.sampled_from(frobenius_rings()))
+        d = len(low)
+        pres, mult, frob = polynomial_ring(q, low)
+        action = IntMatrix.from_columns(frob, d)
+    one = (1,) + (0,) * (d - 1)
+    return fixed_point_green(p, pres, AbHom(pres, pres, action), mult, one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_commutative_greens())
+def test_field_verdict_matches_subfunctor_walk(g):
+    assert is_mackey_field(g).to_json() == field_by_subfunctor_walk(g).to_json()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_constant_field_verdicts_match_subfunctor_walk(p, n):
+    g = constant_green(p, n)
+    assert is_mackey_field(g).to_json() == field_by_subfunctor_walk(g).to_json()
 
 
 def test_field_check_guards():
