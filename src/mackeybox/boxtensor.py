@@ -6,7 +6,9 @@ level is generated by pure tensors of top generators together with one
 transfer class for every bottom tensor generator, modulo three families of
 relations: tensor relations, coinvariance of transfer classes under the
 diagonal action, and Frobenius reciprocity tying a transferred element in
-any slot to the transfer class of its restriction.
+any slot to the transfer class of its restriction.  Each distinct factor
+is checked against the Mackey axioms once, as it comes in; the product's
+axioms follow from its factors' and are not checked again.
 
 Every generator of the result carries a label (a pure tuple or a transfer
 class tuple).  Maps out of box products (permutations, twists, face and
@@ -15,9 +17,10 @@ gives the images of the pure labels and of the bottom labels, and since
 transfer class k is tr(bottom generator k), the transfer block of the top
 matrix is ``target.tr`` composed with the bottom matrix.  The result is
 then checked, as data, to send relations to relations and to commute with
-transfer, restriction and the action.  Composites, sums and multiples of
-these maps are maps by construction and are not checked again (README,
-"Where maps are checked").
+transfer, restriction and the action.  A map given products whose factors
+do not fit its data raises ``FactorMismatch``.  Composites, sums and
+multiples of these maps are maps by construction and are not checked again
+(README, "Where maps are checked").
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import IncompatiblePairing, PrimeMismatch, SizeLimit
+from .errors import (
+    FactorMismatch,
+    IncompatiblePairing,
+    NotAMackeyFunctor,
+    PrimeMismatch,
+    SizeLimit,
+)
 from .exactlin import (
     AbHom,
     FGAbPresentation,
@@ -90,7 +99,13 @@ def _tuple_vectors(vectors):
 
 
 def box_many(factors, limit=None):
-    """Flat presentation of the box product of the given factors."""
+    """Flat presentation of the box product of the given factors.
+
+    Each distinct factor of a product of two or more is checked once by
+    ``validate_mackey``, raising ``NotAMackeyFunctor``; the product's
+    axioms then hold by construction: weyl^p and weyl∘res slot by slot,
+    res∘tr by the transfer block and tr∘weyl by coinvariance.
+    """
     factors = tuple(factors)
     if not factors:
         raise ValueError("need at least one factor")
@@ -102,6 +117,11 @@ def box_many(factors, limit=None):
         top_labels = tuple(("pure", (i,)) for i in range(m.top.num_generators))
         bot_labels = tuple((j,) for j in range(m.bottom.num_generators))
         return BoxProduct(factors, m, top_labels, bot_labels)
+    for i, f in enumerate(factors):
+        if f not in factors[:i]:
+            failures = validate_mackey(f).failures()
+            if failures:
+                raise NotAMackeyFunctor(failures)
 
     limit = DEFAULT_GENERATOR_LIMIT if limit is None else limit
     top_dims = [f.top.num_generators for f in factors]
@@ -186,8 +206,6 @@ def box_many(factors, limit=None):
         AbHom(top, bottom, res_mat),
         AbHom(bottom, bottom, diag_weyl_mat),
     )
-    report = validate_mackey(result)
-    assert report.passed, f"box product failed axioms: {report.failures()}"
     return BoxProduct(factors, result, top_labels, tuple(bot_labels))
 
 
@@ -260,7 +278,7 @@ def map_from_pairing(pairing: BilinearPairing, bp: BoxProduct | None = None) -> 
     pairing.validate()
     if bp is None:
         bp = box(pairing.m, pairing.n)
-    assert bp.factors == (pairing.m, pairing.n)
+    _require_factors("map_from_pairing", bp.factors, (pairing.m, pairing.n))
     pure_cols = [pairing.top_product(*tup) for tup in _pure_tuples(bp)]
     bot_cols = [pairing.bot_product(*tup) for tup in bp.bot_labels]
     return _map_from_columns(bp, pairing.target, pure_cols, bot_cols)
@@ -271,6 +289,17 @@ def _flat_index(tup, dims):
     for t, d in zip(tup, dims):
         idx = idx * d + t
     return idx
+
+
+def _require_factors(what, got, expected):
+    """Raise ``FactorMismatch`` unless the factor tuples ``got`` and
+    ``expected`` agree, naming the first slot that differs."""
+    got, expected = tuple(got), tuple(expected)
+    if len(got) != len(expected):
+        raise FactorMismatch(f"{what}: expected {len(expected)} factors, got {len(got)}")
+    for slot, (f, g) in enumerate(zip(got, expected)):
+        if f != g:
+            raise FactorMismatch(f"{what}: factor {slot} is not the one the map needs")
 
 
 def _pure_tuples(bp: BoxProduct):
@@ -301,9 +330,8 @@ def _map_from_columns(src, target, pure_cols, bot_cols):
 
 def box_map(src: BoxProduct, dst: BoxProduct, maps) -> MackeyMap:
     """Functorial product of Mackey maps, slotwise."""
-    assert src.arity == dst.arity == len(maps)
-    for f, sf, df in zip(maps, src.factors, dst.factors):
-        assert f.source == sf and f.target == df
+    _require_factors("box_map source", src.factors, [f.source for f in maps])
+    _require_factors("box_map target", dst.factors, [f.target for f in maps])
     pure_cols = [
         _embed_pure(dst, _tuple_vectors([f.f_top.matrix.column(t) for f, t in zip(maps, tup)]))
         for tup in _pure_tuples(src)
@@ -326,10 +354,9 @@ def permute_twist(src: BoxProduct, dst: BoxProduct, perm, twists) -> MackeyMap:
     """Rearrangement map: destination slot s receives source slot perm[s],
     acted on by weyl^twists[s].  Checked to respect all relations."""
     p = src.prime
-    assert sorted(perm) == list(range(src.arity))
-    assert dst.arity == src.arity
-    for s in range(dst.arity):
-        assert src.factors[perm[s]] == dst.factors[s]
+    if sorted(perm) != list(range(src.arity)):
+        raise FactorMismatch(f"permute_twist: {list(perm)} does not permute {src.arity} slots")
+    _require_factors("permute_twist target", dst.factors, [src.factors[j] for j in perm])
     twists = [t % p for t in twists]
     top_units = [IntMatrix.identity(f.top.num_generators).rows for f in dst.factors]
     weyl_pows = [dst.factors[s].weyl.matrix.power(twists[s]) for s in range(dst.arity)]
@@ -350,9 +377,10 @@ def swap_map(bp_mn: BoxProduct, bp_nm: BoxProduct) -> MackeyMap:
 
 def contract_pair(src: BoxProduct, i, pairing: BilinearPairing, dst: BoxProduct) -> MackeyMap:
     """Multiply adjacent slots i, i+1 through a pairing; other slots pass."""
-    assert src.factors[i] == pairing.m and src.factors[i + 1] == pairing.n
-    expected = src.factors[:i] + (pairing.target,) + src.factors[i + 2 :]
-    assert dst.factors == expected
+    _require_factors(f"contract_pair slots {i}, {i + 1}", src.factors[i : i + 2],
+                     (pairing.m, pairing.n))
+    _require_factors("contract_pair target", dst.factors,
+                     src.factors[:i] + (pairing.target,) + src.factors[i + 2 :])
 
     top_units = [IntMatrix.identity(f.top.num_generators).rows for f in src.factors]
     bot_units = [IntMatrix.identity(f.bottom.num_generators).rows for f in src.factors]
@@ -377,6 +405,17 @@ def contract_pair(src: BoxProduct, i, pairing: BilinearPairing, dst: BoxProduct)
     return _map_from_columns(src, dst.result, pure_cols, bot_cols)
 
 
+def _normalized_assignment(assignment, arity, p):
+    """The (source slot, twist) lists of the ``arity`` destination slots of
+    ``assignment``, twists reduced mod p, in the order in which
+    ``contract_by_assignment`` multiplies them: descending twist, then
+    ascending slot."""
+    return [
+        sorted(((slot, t % p) for slot, t in assignment[s]), key=lambda st: (-st[1], st[0]))
+        for s in range(arity)
+    ]
+
+
 def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing: BilinearPairing,
                            one_top, one_bot) -> MackeyMap:
     """General monomial contraction for equal factors.
@@ -387,16 +426,13 @@ def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing
     the rotate-then-multiply convention of the twisted face maps.
     """
     m = src.factors[0]
-    assert all(f == m for f in src.factors) and all(f == m for f in dst.factors)
+    _require_factors("contract_by_assignment", src.factors + dst.factors,
+                     (m,) * (src.arity + dst.arity))
     p = src.prime
-    norm = {}
-    used = []
-    for s in range(dst.arity):
-        lst = [(slot, t % p) for slot, t in assignment[s]]
-        lst.sort(key=lambda st: (-st[1], st[0]))
-        norm[s] = lst
-        used.extend(slot for slot, _ in lst)
-    assert sorted(used) == list(range(src.arity)), "assignment must use each source slot once"
+    norm = _normalized_assignment(assignment, dst.arity, p)
+    used = [slot for lst in norm for slot, _ in lst]
+    if sorted(used) != list(range(src.arity)):
+        raise FactorMismatch("contract_by_assignment: each source slot must be used once")
     weyl_pow = [m.weyl.matrix.power(t) for t in range(p)]
     top_units = IntMatrix.identity(m.top.num_generators).rows
 
@@ -439,9 +475,7 @@ def burnside_action_pairing(m: MackeyFunctor) -> BilinearPairing:
 
 def unitor(m: MackeyFunctor, bp: BoxProduct | None = None) -> MackeyMap:
     """The canonical isomorphism box(Burnside, M) -> M."""
-    u = map_from_pairing(burnside_action_pairing(m), bp)
-    assert u.is_isomorphism(), "unitor failed to be an isomorphism"
-    return u
+    return map_from_pairing(burnside_action_pairing(m), bp)
 
 
 def nested_to_flat(outer: BoxProduct, inner: BoxProduct, side, flat: BoxProduct) -> MackeyMap:
@@ -451,15 +485,14 @@ def nested_to_flat(outer: BoxProduct, inner: BoxProduct, side, flat: BoxProduct)
     Transfer classes tensored with a top element are rewritten through
     Frobenius reciprocity before mapping.
     """
-    assert outer.arity == 2 and inner.arity == 2 and flat.arity == 3
+    if (outer.arity, inner.arity) != (2, 2):
+        raise FactorMismatch(f"nested_to_flat: arities {outer.arity}, {inner.arity}, not 2, 2")
     if side == "left":
-        assert outer.factors[0] == inner.result
-        m3 = outer.factors[1]
-        assert flat.factors == inner.factors + (m3,)
+        _require_factors("nested_to_flat outer", outer.factors[:1], (inner.result,))
+        _require_factors("nested_to_flat flat", flat.factors, inner.factors + outer.factors[1:])
     else:
-        assert outer.factors[1] == inner.result
-        m1 = outer.factors[0]
-        assert flat.factors == (m1,) + inner.factors
+        _require_factors("nested_to_flat outer", outer.factors[1:], (inner.result,))
+        _require_factors("nested_to_flat flat", flat.factors, outer.factors[:1] + inner.factors)
 
     top_dims = [f.top.num_generators for f in flat.factors]
     bot_dims = [f.bottom.num_generators for f in flat.factors]
@@ -511,7 +544,7 @@ def invert_iso(m: MackeyMap) -> MackeyMap:
 
 def collapse_single(bp: BoxProduct) -> MackeyMap:
     """Identity map of a single-factor box product onto its factor."""
-    assert bp.arity == 1
+    _require_factors("collapse_single", bp.factors, bp.factors[:1])
     return identity_map(bp.result)
 
 

@@ -82,7 +82,16 @@ class InsufficientTruncation(MackeyboxError):
 
 
 class NotFreeAction(MackeyboxError):
-    pass
+    """A circle model that is not free with k + 1 orbits at level k."""
+
+
+class NotSimplicial(MackeyboxError, ValueError):
+    """Faces, degeneracies or level maps that break a simplicial identity."""
+
+
+class FactorMismatch(MackeyboxError, ValueError):
+    """A map out of a box product given products whose factors or slots do
+    not fit its data."""
 
 
 class NotEquivariant(MackeyboxError):
@@ -91,6 +100,16 @@ class NotEquivariant(MackeyboxError):
 
 class NotInjective(MackeyboxError):
     pass
+
+
+class NotAMackeyFunctor(MackeyboxError, ValueError):
+    """Levels and structure maps that break a Mackey axiom; ``failures``
+    holds the failed ``ValidationCheck``s, each with its witness generator."""
+
+    def __init__(self, failures):
+        self.failures = tuple(failures)
+        witnessed = "; ".join(f"{c.name} ({c.witness})" for c in self.failures)
+        super().__init__(f"not a Mackey functor: {witnessed}")
 
 
 class NotAMackeyMap(MackeyboxError, ValueError):

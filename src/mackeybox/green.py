@@ -180,6 +180,23 @@ def _action_laws(ring: GreenFunctor, action: BilinearPairing):
     return _levels_agree("associativity", assoc), _levels_agree("unitality", unit)
 
 
+def _right_unitality(g: GreenFunctor):
+    """x * 1 = x on generators: at each level the pairing with its factors
+    swapped, applied to 1 (x) I, is the identity.  ``_action_laws`` checks
+    only the left unit, which is all a module needs."""
+    m = g.underlying
+    comparisons = []
+    for level, pres, one, mult in (
+        ("top", m.top, g.one_top(), g.mult.f_top.matrix),
+        ("bottom", m.bottom, g.one_bot(), g.mult.f_bot.matrix),
+    ):
+        n = pres.num_generators
+        ident = IntMatrix.identity(n)
+        times_one = _swapped(mult, n, n) @ IntMatrix.from_columns([one], n).kron(ident)
+        comparisons.append((level, pres, times_one, ident))
+    return _levels_agree("right_unitality", comparisons)
+
+
 def _commutativity(g: GreenFunctor):
     """x * y = y * x on generators: at each level the pairing matrix equals
     its swap, that is, e_i * x = x * e_i for every generator e_i."""

@@ -12,13 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boxtensor import box_power, contract_by_assignment
+from .boxtensor import _normalized_assignment, box_power, contract_by_assignment
 from .errors import (
     InsufficientTruncation,
+    LevelMismatch,
+    NotAModule,
     NotEquivariant,
     NotFreeAction,
     NotInjective,
+    NotSimplicial,
+    PrimeMismatch,
 )
+from .green import _right_unitality, self_module
 from .mackey import identity_map
 
 
@@ -50,7 +55,7 @@ class SimplicialGSet:
     def validate(self):
         problems = self.identity_failures()
         if problems:
-            raise ValueError("simplicial identities fail: " + "; ".join(problems[:3]))
+            raise NotSimplicial("simplicial identities fail: " + "; ".join(problems[:3]))
         return self
 
     def identity_failures(self):
@@ -59,7 +64,7 @@ class SimplicialGSet:
             lambda n, i: self.faces[n][i],
             lambda n, i: self.degeneracies[n][i],
             _compose,
-            lambda lhs, rhs, n: _first_difference(self, n, lhs, rhs),
+            lambda lhs, rhs, n: _first_difference(lhs, rhs, lambda v: f" on {self.label(n, v)}"),
             lambda n: list(range(self.size(n))),
         )
         # action is simplicial and has the right order
@@ -137,13 +142,12 @@ def _compose(g, f):
     return [g[v] for v in f]
 
 
-def _first_difference(x, n, lhs, rhs):
-    """None when the index lists ``lhs`` and ``rhs`` on level n of ``x``
-    agree, else text naming the first simplex where they differ."""
+def _first_difference(lhs, rhs, name):
+    """None when the lists ``lhs`` and ``rhs`` agree, else ``name(v)`` for
+    the first position v where they differ."""
     if lhs == rhs:
         return None
-    v = next(v for v, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-    return f" on {x.label(n, v)}"
+    return name(next(v for v, (a, b) in enumerate(zip(lhs, rhs)) if a != b))
 
 
 def _identity_failures(top, face, degeneracy, compose, witness, identity):
@@ -204,7 +208,8 @@ def _naturality_failures(source, target, phi):
         for n in levels:
             for i in range(n + 1):
                 lhs = _compose(target_ops[n][i], phi[n])
-                w = _first_difference(source, n, lhs, _compose(phi[n + step], source_ops[n][i]))
+                w = _first_difference(lhs, _compose(phi[n + step], source_ops[n][i]),
+                                      lambda v: f" on {source.label(n, v)}")
                 if w is not None:
                     out.append(f"{name}{i} at level {n}{w}")
     return out
@@ -340,10 +345,11 @@ class SimplicialMap:
     mapping: list  # per level, list of target indices
 
     def validate(self, equivariant=True):
-        assert self.source.truncation <= self.target.truncation
+        if self.source.truncation > self.target.truncation:
+            raise LevelMismatch("the source is truncated above the target")
         fails = _naturality_failures(self.source, self.target, self.mapping)
         if fails:
-            raise ValueError(f"not simplicial: {fails[0]}")
+            raise NotSimplicial(f"not simplicial: {fails[0]}")
         if equivariant:
             fails = self.equivariance_failures()
             if fails:
@@ -360,7 +366,8 @@ class SimplicialMap:
         return out
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        assert other.target is self.source or other.target == self.source
+        if other.target is not self.source and other.target != self.source:
+            raise LevelMismatch("composition mismatch")
         mapping = [
             [self.mapping[n][other.mapping[n][v]] for v in range(other.source.size(n))]
             for n in range(other.source.truncation + 1)
@@ -549,7 +556,6 @@ def triple_wedge_rebracket(p, truncation):
         raise KeyError(label)
 
     iso = relabel_map(left_first.space, right_first.space, rename)
-    assert iso.is_bijective()
     return left_first, right_first, iso
 
 
@@ -651,7 +657,6 @@ def pinch_candidate(p, truncation=2):
     """
     # the doubly subdivided circle with the carried order-p rotation
     double = edgewise_subdivision(p_circle(p, 2 * (truncation + 1) - 1), 2)
-    assert double.order == p and double.truncation >= truncation
     n0 = double.size(0)  # 2p vertices
     pairs = [(v, (v + p) % n0) for v in range(p)]
     quotient, qmap = _congruence_quotient(double, pairs)
@@ -690,14 +695,11 @@ def _natural_pinch_matching(quotient, wedge, p):
     # vertices: quotient classes inherit the order of the original vertices
     mapping = [list(range(quotient.size(0)))]
     for n in range(1, trunc + 1):
-        flags_q = quotient.degenerate_flags(n)
-        flags_w = w.degenerate_flags(n)
-        nd_q = [v for v in range(quotient.size(n)) if not flags_q[v]]
-        nd_w = [v for v in range(w.size(n)) if not flags_w[v]]
         lvl = [None] * quotient.size(n)
         if n == 1:
-            assert len(nd_q) == len(nd_w) == 2 * p
-            for k, v in enumerate(nd_q):
+            flags = quotient.degenerate_flags(1)
+            nondegenerate = [v for v in range(quotient.size(1)) if not flags[v]]
+            for k, v in enumerate(nondegenerate):
                 if k < p:
                     target_label = f"a:{p_circle_edge_label(p, k)}"
                 else:
@@ -846,6 +848,16 @@ def tensor_green_with_circle(green, circle: SimplicialGSet, truncation) -> Simpl
     Level k is the (k+1)-fold box power (one factor per orbit); face and
     degeneracy maps are read off the orbit structure of the circle, with
     the action twist appearing where a face crosses the rotation seam.
+
+    The inputs are checked once, before anything is built: the ring laws
+    through ``self_module(green).validate()`` and x * 1 = x, since a
+    degeneracy inserts 1 on either side of a later product (``NotAModule``),
+    and the simplicial identities on the orbit assignments of the circle
+    (``NotSimplicial``).  A composite of contractions multiplies in the
+    concatenated order of its assignments, so when these agree as ordered
+    lists the Mackey-level identities hold too (README, "Where maps are
+    checked"); ``SimplicialMackey.identity_failures`` decides them on the
+    maps themselves.
     """
     if not circle.action_is_free():
         raise NotFreeAction("the circle model must carry a free action")
@@ -853,43 +865,65 @@ def tensor_green_with_circle(green, circle: SimplicialGSet, truncation) -> Simpl
         raise InsufficientTruncation("circle not stored deep enough")
     p = circle.order
     m = green.underlying
-    assert m.prime == p
+    if m.prime != p:
+        raise PrimeMismatch(f"a Green functor over C_{m.prime} and a circle over C_{p}")
+    for k in range(truncation + 1):
+        orbits = len(circle.orbit_representatives(k))
+        if orbits != k + 1:
+            raise NotFreeAction(f"level {k} of the circle has {orbits} orbits, not {k + 1}")
+    self_module(green).validate()
+    right_unit = _right_unitality(green)
+    if not right_unit.passed:
+        raise NotAModule(f"unit is not a right unit: {right_unit.witness}")
+    faces = {
+        (k, i): _orbit_assignment(circle, k, circle.faces[k][i], k - 1)
+        for k in range(1, truncation + 1)
+        for i in range(k + 1)
+    }
+    degeneracies = {
+        (k, i): _orbit_assignment(circle, k, circle.degeneracies[k][i], k + 1)
+        for k in range(truncation)
+        for i in range(k + 1)
+    }
+    fails = _identity_failures(
+        truncation,
+        lambda n, i: faces[(n, i)],
+        lambda n, i: degeneracies[(n, i)],
+        lambda g, f: [[(slot, (t + u) % p) for mid, u in lst for slot, t in f[mid]] for lst in g],
+        lambda lhs, rhs, n: _first_difference(
+            lhs, rhs, lambda s: f", slot {s}: {lhs[s]} against {rhs[s]}"
+        ),
+        lambda n: [[(s, 0)] for s in range(n + 1)],
+    )
+    if fails:
+        raise NotSimplicial("orbit assignments of the circle fail: " + "; ".join(fails[:3]))
+
     one_top = green.one_top()
     one_bot = green.one_bot()
-    levels = []
-    for k in range(truncation + 1):
-        reps = circle.orbit_representatives(k)
-        assert len(reps) == k + 1, "free circle level must have k+1 orbits"
-        levels.append(box_power(m, k + 1))
-    faces = {}
-    degeneracies = {}
-    for k in range(1, truncation + 1):
-        for i in range(k + 1):
-            assign = _orbit_assignment(circle, k, circle.faces[k][i], k - 1)
-            faces[(k, i)] = contract_by_assignment(
-                levels[k], levels[k - 1], assign, green.mult, one_top, one_bot
+    levels = [box_power(m, k + 1) for k in range(truncation + 1)]
+
+    def contract(assignments, step):
+        return {
+            (k, i): contract_by_assignment(
+                levels[k], levels[k + step], assign, green.mult, one_top, one_bot
             )
-    for k in range(truncation):
-        for i in range(k + 1):
-            assign = _orbit_assignment(circle, k, circle.degeneracies[k][i], k + 1)
-            degeneracies[(k, i)] = contract_by_assignment(
-                levels[k], levels[k + 1], assign, green.mult, one_top, one_bot
-            )
-    sm = SimplicialMackey(truncation, levels, faces, degeneracies)
-    fails = sm.identity_failures()
-    assert not fails, f"orbit tensor is not simplicial: {fails[:3]}"
-    return sm
+            for (k, i), assign in assignments.items()
+        }
+
+    return SimplicialMackey(truncation, levels, contract(faces, -1), contract(degeneracies, 1))
 
 
 def _orbit_assignment(circle, k, op, level):
     """Slot assignment of the contraction induced by ``op``, a face or
     degeneracy from level k to ``level`` of the circle: orbit j of level k
     goes to the orbit of its image, twisted by the action power that takes
-    that orbit's representative to the image."""
+    that orbit's representative to the image.  The lists come in the order
+    in which ``contract_by_assignment`` multiplies them."""
     src_reps = circle.orbit_representatives(k)
     tgt_reps = circle.orbit_representatives(level)
-    out = {s: [] for s in range(len(tgt_reps))}
+    out = [[] for _ in tgt_reps]
     for j, rep in enumerate(src_reps):
         tgt_rep, twist = _decompose_at(circle, level, op[rep])
         out[tgt_reps.index(tgt_rep)].append((j, twist))
-    return out
+    return _normalized_assignment(out, len(out), circle.order)
+

@@ -9,6 +9,8 @@ from mackeybox.boxtensor import (
     box_power,
     burnside_action_pairing,
     collapse_single,
+    contract_by_assignment,
+    contract_pair,
     invert_iso,
     map_from_pairing,
     nested_to_flat,
@@ -18,11 +20,18 @@ from mackeybox.boxtensor import (
     swap_map,
     unitor,
 )
-from mackeybox.errors import IncompatiblePairing, PrimeMismatch, SizeLimit
-from mackeybox.exactlin import AbHom, FGAbPresentation, cyclic_group
+from mackeybox.errors import (
+    FactorMismatch,
+    IncompatiblePairing,
+    NotAMackeyFunctor,
+    PrimeMismatch,
+    SizeLimit,
+)
+from mackeybox.exactlin import AbHom, FGAbPresentation, cyclic_group, zero_group, zero_hom
 from mackeybox.green import f4_frobenius_green
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
+    MackeyFunctor,
     burnside,
     canonical_levels,
     constant,
@@ -90,9 +99,52 @@ def unitor_corpus():
 
 def test_unitor_is_isomorphism_on_corpus():
     for m in unitor_corpus():
-        u = unitor(m)  # asserts iso internally
+        u = unitor(m)
+        assert u.is_isomorphism()
         assert u.source.prime == m.prime
         assert canonical_levels(u.source) == canonical_levels(m)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_box_powers_satisfy_axioms_on_corpus(k):
+    # box_many checks its factors only; the product's axioms follow
+    for m in unitor_corpus():
+        assert validate_mackey(box_power(m, k).result).passed
+
+
+def test_factor_off_order_p_raises_not_a_mackey_functor():
+    # doubling on Z/7 has order 3, not 2
+    z7, z = cyclic_group(7), zero_group()
+    bad = MackeyFunctor(2, z, z7, zero_hom(z7, z), zero_hom(z, z7), AbHom(z7, z7, IntMatrix([[2]])))
+    with pytest.raises(NotAMackeyFunctor, match="weyl_order_p") as err:
+        box(constant(2, 2), bad)
+    assert err.value.failures[0].name == "weyl_order_p"
+
+
+def test_label_maps_reject_mismatched_factors():
+    m, n = constant(2, 2), constant(2, 4)
+    mm, mn, nm = box(m, m), box(m, n), box(n, m)
+    mult = constant_field_mult(2, 2)
+    with pytest.raises(FactorMismatch, match="box_map target: factor 1"):
+        box_map(mm, mn, [identity_map(m), identity_map(m)])
+    with pytest.raises(FactorMismatch, match="box_map source: expected 1 factors, got 2"):
+        box_map(mm, mm, [identity_map(m)])
+    with pytest.raises(FactorMismatch, match="does not permute 2 slots"):
+        permute_twist(mn, nm, (0, 0), (0, 0))
+    with pytest.raises(FactorMismatch, match="permute_twist target: factor 0"):
+        permute_twist(mn, nm, (0, 1), (0, 0))
+    with pytest.raises(FactorMismatch, match="map_from_pairing"):
+        map_from_pairing(mult, mn)
+    with pytest.raises(FactorMismatch, match="contract_pair slots 0, 1: factor 1"):
+        contract_pair(mn, 0, mult, box_many([m]))
+    with pytest.raises(FactorMismatch, match="contract_by_assignment: factor 1"):
+        contract_by_assignment(mn, box_many([m]), {0: [(0, 0), (1, 0)]}, mult, (1,), (1,))
+    with pytest.raises(FactorMismatch, match="each source slot must be used once"):
+        contract_by_assignment(mm, box_many([m]), {0: [(0, 0), (0, 1)]}, mult, (1,), (1,))
+    with pytest.raises(FactorMismatch, match="collapse_single"):
+        collapse_single(mm)
+    with pytest.raises(FactorMismatch, match="nested_to_flat"):
+        nested_to_flat(mm, mm, "left", box_many([m, m, m]))
 
 
 def test_frobenius_relations_vanish():

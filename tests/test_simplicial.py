@@ -1,7 +1,16 @@
 import pytest
 
-from mackeybox.errors import InsufficientTruncation, NotFreeAction
-from mackeybox.green import constant_green, f4_frobenius_green, field_top_green
+from mackeybox.errors import InsufficientTruncation, NotAModule, NotFreeAction, NotSimplicial
+from mackeybox.exactlin import FGAbPresentation, identity_hom
+from mackeybox.green import (
+    burnside_green,
+    constant_green,
+    f4_frobenius_green,
+    field_top_green,
+    fixed_point_green,
+)
+from mackeybox.intlinalg import IntMatrix
+from mackeybox.mackey import MackeyChainComplex, burnside, canonical_levels, homology_of_complex
 from mackeybox.simplicial import (
     SimplicialGSet,
     SimplicialMackey,
@@ -121,7 +130,7 @@ def test_corrupted_degeneracy_named_with_first_simplex():
     fails = s.identity_failures()
     assert "d0 s0 at level 1 on g1" in fails
     assert all(f.endswith(" on g1") for f in fails)
-    with pytest.raises(ValueError, match="d0 s0 at level 1 on g1"):
+    with pytest.raises(NotSimplicial, match="d0 s0 at level 1 on g1"):
         s.validate()
 
 
@@ -141,7 +150,7 @@ def test_non_natural_map_names_the_face():
     c = p_circle(2, 1)
     mapping = identity_simplicial_map(c).mapping
     mapping[0] = [1, 0]
-    with pytest.raises(ValueError, match="not simplicial: d0 at level 1 on g0"):
+    with pytest.raises(NotSimplicial, match="not simplicial: d0 at level 1 on g0"):
         SimplicialMap(c, c, mapping).validate(equivariant=False)
 
 
@@ -213,6 +222,7 @@ def test_fold_commutativity():
 def test_fold_associativity_square_commutes():
     for p in (2, 3):
         left_first, right_first, iso = triple_wedge_rebracket(p, 2)
+        assert iso.is_bijective()
         base = circle_wedge(p, 2)
         triple = left_first.space
         fold = fold_map(base)
@@ -277,10 +287,20 @@ def test_no_equivariant_collapse():
 # tensoring a Green functor with the circle
 
 
-def test_tensor_green_levels_and_identities():
-    g = field_top_green(2, 2)
-    circle = p_circle(2, 3)
-    sm = tensor_green_with_circle(g, circle, 3)
+GREENS = {
+    "f4": f4_frobenius_green,
+    "burnside_2": lambda: burnside_green(2),
+    "constant_3_9": lambda: constant_green(3, 9),
+    "field_top_2_2": lambda: field_top_green(2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREENS))
+def test_tensor_green_levels_and_identities(name):
+    # the construction checks the identities on orbit assignments only; the
+    # Mackey-level check decides them again on the composed maps
+    g = GREENS[name]()
+    sm = tensor_green_with_circle(g, p_circle(g.prime, 3), 3)
     assert [lvl.arity for lvl in sm.levels] == [1, 2, 3, 4]
     assert sm.identity_failures() == []
 
@@ -315,3 +335,94 @@ def test_swapped_faces_fail_mackey_identities():
     fails = SimplicialMackey(sm.truncation, sm.levels, faces, sm.degeneracies).identity_failures()
     assert "d0 d2 at level 2" in fails
     assert "d0 s1 at level 1" in fails
+
+
+def _twist_moved(circle, k):
+    """A copy of ``circle`` whose last face out of level k twists the orbit
+    of the first vertex instead of the orbit of the last: both orbits are
+    mapped on by one more step of the action, which for p = 2 moves the
+    twist of the seam from one slot to the other."""
+    x = _copy(circle)
+    act = x.action[k - 1]
+    reps = x.orbit_representatives(k)
+    moved = set()
+    for rep in (reps[0], reps[-1]):
+        v = rep
+        while v not in moved:
+            moved.add(v)
+            v = x.action[k][v]
+    x.faces[k][k] = [act[w] if v in moved else w for v, w in enumerate(x.faces[k][k])]
+    return x
+
+
+def test_moved_twist_raises_not_simplicial():
+    circle = _twist_moved(p_circle(2, 2), 2)
+    assert circle.action_is_free()
+    with pytest.raises(NotSimplicial, match="orbit assignments of the circle fail"):
+        tensor_green_with_circle(f4_frobenius_green(), circle, 2)
+
+
+def test_non_associative_ring_raises_not_a_module():
+    # F_2 <1, x, y> with x x = y, y y = x and x y = y x = 0 is commutative
+    # and unital, but (x x) y = x while x (x y) = 0; with the trivial action
+    # every pairing law holds, so only associativity fails
+    v = FGAbPresentation(3, IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    products = {(0, j): j for j in range(3)}
+    products.update({(1, 0): 1, (2, 0): 2, (1, 1): 2, (2, 2): 1})
+    cols = [
+        tuple(int(products.get((i, j)) == c) for c in range(3))
+        for i in range(3)
+        for j in range(3)
+    ]
+    g = fixed_point_green(2, v, identity_hom(v), IntMatrix.from_columns(cols, 3), (1, 0, 0))
+    with pytest.raises(NotAModule, match="not associative"):
+        tensor_green_with_circle(g, p_circle(2, 2), 2)
+
+
+def test_left_unit_only_ring_raises_not_a_module():
+    # F_2 <e, x> with e e = e, e x = x and x e = x x = 0 is associative and
+    # e is a left unit, but x e = 0: d_0 s_0 multiplies by 1 on the right,
+    # so the tensor would not be simplicial
+    v = FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]]))
+    mult = IntMatrix.from_columns([(1, 0), (0, 1), (0, 0), (0, 0)], 2)
+    g = fixed_point_green(2, v, identity_hom(v), mult, (1, 0))
+    with pytest.raises(NotAModule, match="not a right unit"):
+        tensor_green_with_circle(g, p_circle(2, 2), 2)
+
+
+def _moore_homology(sm):
+    """Homology of the Moore complex of ``sm``: degree n is level n and the
+    differential is the alternating sum of the faces out of it.  By
+    Dold-Kan it is the homology of the simplicial object below the
+    truncation; the top degree only sees cycles."""
+    objects = {n: lvl.result for n, lvl in enumerate(sm.levels)}
+    differentials = {}
+    for n in range(1, sm.truncation + 1):
+        d = sm.faces[(n, 0)]
+        for i in range(1, n + 1):
+            d = d + sm.faces[(n, i)].scale((-1) ** i)
+        differentials[n] = d
+    return homology_of_complex(MackeyChainComplex(0, sm.truncation, objects, differentials))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_burnside_circle_tensor_is_the_unit_in_homology(t):
+    # the Burnside functor is the unit for the box product, so every level is
+    # A and the faces are identities: d_n is 0 for odd n and the identity for
+    # even n, leaving H_0 = A and nothing else below the truncation
+    h = _moore_homology(tensor_green_with_circle(burnside_green(2), p_circle(2, t), t))
+    assert canonical_levels(h[0]) == canonical_levels(burnside(2))
+    for n in range(1, t):
+        assert h[n].is_zero()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_f4_circle_tensor_bottom_is_twisted_hochschild(t):
+    # the bottom level is the cyclic bar construction of F_4 over F_2 with the
+    # Frobenius on the seam face, so its homology is the sigma-twisted
+    # Hochschild homology of F_4, zero in every degree because F_4 is
+    # separable and sigma is not the identity (Weibel, section 9.2); an
+    # untwisted or misplaced twist leaves F_4 in degree 0
+    h = _moore_homology(tensor_green_with_circle(f4_frobenius_green(), p_circle(2, t), t))
+    for n in range(t):
+        assert h[n].bottom.is_zero_group()
