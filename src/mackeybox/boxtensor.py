@@ -15,11 +15,11 @@ class tuple).  Maps out of box products (permutations, twists, face and
 degeneracy contractions, pairings) are written down on labels: each one
 gives the images of the pure labels and of the bottom labels, and since
 transfer class k is tr(bottom generator k), the transfer block of the top
-matrix is ``target.tr`` composed with the bottom matrix.  The result is
-then checked, as data, to send relations to relations and to commute with
-transfer, restriction and the action.  A map given products whose factors
-do not fit its data raises ``FactorMismatch``.  Composites, sums and
-multiples of these maps are maps by construction and are not checked again
+matrix is ``target.tr`` composed with the bottom matrix.  Its level maps
+are checked against the relations; its squares follow from the small
+inputs each constructor checks once, and are not checked.  A map given
+products whose factors do not fit its data raises ``FactorMismatch``.
+Composites, sums and multiples of these maps are maps by construction
 (README, "Where maps are checked").
 """
 
@@ -32,12 +32,14 @@ from .errors import (
     FactorMismatch,
     IncompatiblePairing,
     NotAMackeyFunctor,
+    NotAModule,
     PrimeMismatch,
     SizeLimit,
 )
 from .exactlin import (
     AbHom,
     FGAbPresentation,
+    _unchecked,
     first_nonzero_column,
     solve_membership,
     tensor,
@@ -101,10 +103,10 @@ def _tuple_vectors(vectors):
 def box_many(factors, limit=None):
     """Flat presentation of the box product of the given factors.
 
-    Each distinct factor of a product of two or more is checked once by
-    ``validate_mackey``, raising ``NotAMackeyFunctor``; the product's
-    axioms then hold by construction: weyl^p and weyl∘res slot by slot,
-    res∘tr by the transfer block and tr∘weyl by coinvariance.
+    Each distinct factor is checked once by ``validate_mackey``, raising
+    ``NotAMackeyFunctor``; the product's axioms then hold by construction:
+    weyl^p and weyl∘res slot by slot, res∘tr by the transfer block and
+    tr∘weyl by coinvariance.
     """
     factors = tuple(factors)
     if not factors:
@@ -112,16 +114,16 @@ def box_many(factors, limit=None):
     p = factors[0].prime
     if any(f.prime != p for f in factors):
         raise PrimeMismatch("factors live over different primes")
-    if len(factors) == 1:
-        m = factors[0]
-        top_labels = tuple(("pure", (i,)) for i in range(m.top.num_generators))
-        bot_labels = tuple((j,) for j in range(m.bottom.num_generators))
-        return BoxProduct(factors, m, top_labels, bot_labels)
     for i, f in enumerate(factors):
         if f not in factors[:i]:
             failures = validate_mackey(f).failures()
             if failures:
                 raise NotAMackeyFunctor(failures)
+    if len(factors) == 1:
+        m = factors[0]
+        top_labels = tuple(("pure", (i,)) for i in range(m.top.num_generators))
+        bot_labels = tuple((j,) for j in range(m.bottom.num_generators))
+        return BoxProduct(factors, m, top_labels, bot_labels)
 
     limit = DEFAULT_GENERATOR_LIMIT if limit is None else limit
     top_dims = [f.top.num_generators for f in factors]
@@ -275,13 +277,10 @@ def pairing_from_matrices(m, n, target, top_matrix, bot_matrix):
 
 def map_from_pairing(pairing: BilinearPairing, bp: BoxProduct | None = None) -> MackeyMap:
     """The map box(M, N) -> L classified by a valid pairing."""
-    pairing.validate()
     if bp is None:
         bp = box(pairing.m, pairing.n)
     _require_factors("map_from_pairing", bp.factors, (pairing.m, pairing.n))
-    pure_cols = [pairing.top_product(*tup) for tup in _pure_tuples(bp)]
-    bot_cols = [pairing.bot_product(*tup) for tup in bp.bot_labels]
-    return _map_from_columns(bp, pairing.target, pure_cols, bot_cols)
+    return contract_pair(bp, 0, pairing, box_many([pairing.target]))
 
 
 def _flat_index(tup, dims):
@@ -311,12 +310,15 @@ def _map_from_columns(src, target, pure_cols, bot_cols):
     """The map out of ``src`` with the given images of its pure and bottom
     generators.  Transfer class k of ``src`` is tr(bottom generator k), so
     its image is the transfer of bottom image k: the top matrix ends with
-    the block ``target.tr.matrix @ f_bot``."""
+    the block ``target.tr.matrix @ f_bot``.  Only the level maps are
+    checked, since a relative box product adds relations no input implies;
+    the squares follow from the callers' checked inputs (README)."""
     f_bot = IntMatrix.from_columns(bot_cols, target.bottom.num_generators)
     f_top = IntMatrix.from_columns(pure_cols, target.top.num_generators)
     if src.arity > 1:
         f_top = f_top.hstack(target.tr.matrix @ f_bot)
-    return MackeyMap(
+    return _unchecked(
+        MackeyMap,
         src.result,
         target,
         AbHom(src.result.top, target.top, f_top),
@@ -376,11 +378,12 @@ def swap_map(bp_mn: BoxProduct, bp_nm: BoxProduct) -> MackeyMap:
 
 
 def contract_pair(src: BoxProduct, i, pairing: BilinearPairing, dst: BoxProduct) -> MackeyMap:
-    """Multiply adjacent slots i, i+1 through a pairing; other slots pass."""
+    """Multiply adjacent slots i, i+1 through a valid pairing; other slots pass."""
     _require_factors(f"contract_pair slots {i}, {i + 1}", src.factors[i : i + 2],
                      (pairing.m, pairing.n))
     _require_factors("contract_pair target", dst.factors,
                      src.factors[:i] + (pairing.target,) + src.factors[i + 2 :])
+    pairing.validate()
 
     top_units = [IntMatrix.identity(f.top.num_generators).rows for f in src.factors]
     bot_units = [IntMatrix.identity(f.bottom.num_generators).rows for f in src.factors]
@@ -423,11 +426,17 @@ def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing
     ``assignment`` maps each destination slot to a list of (source slot,
     twist exponent); empty lists insert the unit element.  Lists are
     normalized to (descending twist, ascending slot) order, which matches
-    the rotate-then-multiply convention of the twisted face maps.
+    the rotate-then-multiply convention of the twisted face maps.  The
+    pairing must be a valid product on the factor, with res(one_top) = one_bot.
     """
     m = src.factors[0]
     _require_factors("contract_by_assignment", src.factors + dst.factors,
                      (m,) * (src.arity + dst.arity))
+    _require_factors("contract_by_assignment pairing", (pairing.m, pairing.n, pairing.target),
+                     (m,) * 3)
+    pairing.validate()
+    if not m.bottom.reduces_to_zero([a - b for a, b in zip(m.res(one_top), one_bot)]):
+        raise NotAModule("contract_by_assignment: one_bot is not the restriction of one_top")
     p = src.prime
     norm = _normalized_assignment(assignment, dst.arity, p)
     used = [slot for lst in norm for slot, _ in lst]

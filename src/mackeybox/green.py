@@ -127,8 +127,9 @@ def green_from_mult(m: MackeyFunctor, one_top_vec, top_matrix, bot_matrix) -> Gr
 
 def validate_green(g: GreenFunctor) -> ValidationReport:
     """Pairing compatibility and the Mackey axioms; when both pass, then
-    associativity, unitality and commutativity, decided level by level on
-    the pairing matrices (README, "Green axioms on generators")."""
+    associativity, unitality (1 * x = x), right unitality (x * 1 = x) and
+    commutativity, decided level by level on the pairing matrices (README,
+    "Green axioms on generators")."""
     checks = []
     bad = g.mult.check()
     checks.append(
@@ -144,6 +145,7 @@ def validate_green(g: GreenFunctor) -> ValidationReport:
         return ValidationReport(tuple(checks))
 
     checks.extend(_action_laws(g, g.mult))
+    checks.append(_right_unitality(g))
     checks.append(_commutativity(g))
     return ValidationReport(tuple(checks))
 

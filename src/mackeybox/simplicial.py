@@ -798,7 +798,8 @@ class SimplicialMackey:
     """A truncated simplicial object in Mackey functors.
 
     Levels are box products (with provenance), faces and degeneracies are
-    validated Mackey maps keyed by (level, index).
+    Mackey maps keyed by (level, index), maps by construction from inputs
+    checked once (README, "Where maps are checked").
     """
 
     truncation: int

@@ -22,13 +22,22 @@ from mackeybox.boxtensor import (
 )
 from mackeybox.errors import (
     FactorMismatch,
+    IllFormedHom,
     IncompatiblePairing,
     NotAMackeyFunctor,
+    NotAModule,
     PrimeMismatch,
     SizeLimit,
 )
-from mackeybox.exactlin import AbHom, FGAbPresentation, cyclic_group, zero_group, zero_hom
-from mackeybox.green import f4_frobenius_green
+from mackeybox.exactlin import (
+    AbHom,
+    FGAbPresentation,
+    cyclic_group,
+    identity_hom,
+    zero_group,
+    zero_hom,
+)
+from mackeybox.green import TwistedModule, f4_frobenius_green, relative_box, self_module
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     MackeyFunctor,
@@ -39,6 +48,7 @@ from mackeybox.mackey import (
     j_bottom,
     j_top,
     validate_mackey,
+    zero_mackey,
 )
 
 F4 = FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]]))
@@ -113,11 +123,8 @@ def test_box_powers_satisfy_axioms_on_corpus(k):
 
 
 def test_factor_off_order_p_raises_not_a_mackey_functor():
-    # doubling on Z/7 has order 3, not 2
-    z7, z = cyclic_group(7), zero_group()
-    bad = MackeyFunctor(2, z, z7, zero_hom(z7, z), zero_hom(z, z7), AbHom(z7, z7, IntMatrix([[2]])))
     with pytest.raises(NotAMackeyFunctor, match="weyl_order_p") as err:
-        box(constant(2, 2), bad)
+        box(constant(2, 2), _z7_off_order_p())
     assert err.value.failures[0].name == "weyl_order_p"
 
 
@@ -141,10 +148,61 @@ def test_label_maps_reject_mismatched_factors():
         contract_by_assignment(mn, box_many([m]), {0: [(0, 0), (1, 0)]}, mult, (1,), (1,))
     with pytest.raises(FactorMismatch, match="each source slot must be used once"):
         contract_by_assignment(mm, box_many([m]), {0: [(0, 0), (0, 1)]}, mult, (1,), (1,))
+    nn = box(n, n)
+    with pytest.raises(FactorMismatch, match="contract_by_assignment pairing: factor 0"):
+        contract_by_assignment(nn, box_many([n]), {0: [(0, 0), (1, 0)]}, mult, (1,), (1,))
     with pytest.raises(FactorMismatch, match="collapse_single"):
         collapse_single(mm)
     with pytest.raises(FactorMismatch, match="nested_to_flat"):
         nested_to_flat(mm, mm, "left", box_many([m, m, m]))
+
+
+def _z7_off_order_p():
+    """Levels 0 and Z/7 with doubling as the action, which has order 3, not 2."""
+    z7, z = cyclic_group(7), zero_group()
+    return MackeyFunctor(2, z, z7, zero_hom(z7, z), zero_hom(z, z7), AbHom(z7, z7, IntMatrix([[2]])))
+
+
+def test_label_maps_check_their_inputs():
+    # each constructor checks only its small inputs; the squares of the map
+    # it builds follow from them and are not checked
+    m = constant(2, 2)
+    mm, single = box(m, m), box_many([m])
+    # law 1 fails, res(1 * 1) = 1 but res 1 * res 1 = 0; laws 2, 3 and
+    # "weyl" hold, since tr is 0 and the action is trivial
+    law1 = pairing_from_matrices(m, m, m, IntMatrix([[1]]), IntMatrix([[0]]))
+    with pytest.raises(IncompatiblePairing) as err:
+        contract_pair(mm, 0, law1, single)
+    assert err.value.condition == 1
+    with pytest.raises(IncompatiblePairing):
+        contract_by_assignment(mm, single, {0: [(0, 0), (1, 0)]}, law1, (1,), (1,))
+    mult = constant_field_mult(2, 2)
+    with pytest.raises(NotAModule, match="one_bot is not the restriction of one_top"):
+        contract_by_assignment(single, mm, {0: [(0, 0)], 1: []}, mult, (1,), (0,))
+    with pytest.raises(NotAMackeyFunctor, match="weyl_order_p"):
+        box_power(_z7_off_order_p(), 1)
+    # a target whose res o tr is 1, not the orbit sum 2, out of zero functors
+    z3 = cyclic_group(3)
+    bad = MackeyFunctor(2, z3, z3, AbHom(z3, z3, IntMatrix([[1]])), identity_hom(z3),
+                        identity_hom(z3))
+    zero = zero_mackey(2)
+    empty = IntMatrix.zeros(1, 0)
+    with pytest.raises(NotAMackeyFunctor, match="res_tr_is_orbit_sum"):
+        map_from_pairing(pairing_from_matrices(zero, zero, bad, empty, empty))
+
+
+def test_contraction_out_of_relative_box_checks_its_relations():
+    # over R = F_4/C_2, R box_R R = R: the product factors through the
+    # coequalizer, but the product twisted by the Frobenius on its first
+    # factor, a valid pairing, is not balanced: sigma(x a) y != sigma(x) a y
+    g = f4_frobenius_green()
+    module = self_module(g)
+    bp, _ = relative_box(module, module)
+    assert not map_from_pairing(g.mult, bp).is_zero()
+    twisted = TwistedModule(module, 1).action_pairing()
+    twisted.validate()
+    with pytest.raises(IllFormedHom):
+        map_from_pairing(twisted, bp)
 
 
 def test_frobenius_relations_vanish():

@@ -577,8 +577,8 @@ def test_relative_box_mismatched_rings():
 
 def box_product_failures(g):
     """Oracle for the failure names of ``validate_green``: the laws stated as
-    equalities of Mackey maps out of box(M, M), box(M, M, M) and
-    box(Burnside, M), built on generator labels."""
+    equalities of Mackey maps out of box(M, M), box(M, M, M),
+    box(Burnside, M) and box(M, Burnside), built on generator labels."""
     failures = []
     if g.mult.check():
         failures.append("pairing_compatible")
@@ -598,6 +598,11 @@ def box_product_failures(g):
     via_unit = mult_map.compose(box_map(bp_am, bp2, [g.unit, identity_map(m)]))
     if not via_unit.equals(unitor(m, bp_am)):
         failures.append("unitality")
+    # x 1 = x: through box(M, Burnside), swapped onto the unitor
+    bp_ma = box(m, burnside(g.prime))
+    via_right_unit = mult_map.compose(box_map(bp_ma, bp2, [identity_map(m), g.unit]))
+    if not via_right_unit.equals(unitor(m, bp_am).compose(swap_map(bp_ma, bp_am))):
+        failures.append("right_unitality")
     if not mult_map.compose(swap_map(bp2, bp2)).equals(mult_map):
         failures.append("commutativity")
     return failures
@@ -652,6 +657,14 @@ def bottom_only_f2_green():
     return fixed_point_green(2, v, swap, mult, (1, 1))
 
 
+def left_unit_only_f2_green():
+    """F_2 <e, x> with e e = e, e x = x and x e = x x = 0 under the trivial
+    C_2 action: associative, and e is a left unit but not a right one."""
+    v = FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]]))
+    mult = IntMatrix.from_columns([(1, 0), (0, 1), (0, 0), (0, 0)], 2)
+    return fixed_point_green(2, v, identity_hom(v), mult, (1, 0))
+
+
 ORACLE_CASES = {
     "burnside-2": burnside_green(2),
     "burnside-3": burnside_green(3),
@@ -664,6 +677,7 @@ ORACLE_CASES = {
     "nonassociative": nonassociative_f2_green(),
     "nonassociative-bad-one": nonassociative_f2_green(one=(0, 1, 0)),
     "bottom-only": bottom_only_f2_green(),
+    "left-unit-only": left_unit_only_f2_green(),
 }
 
 
@@ -695,7 +709,9 @@ def test_nonassociative_algebra_failures():
     names = [c.name for c in validate_green(nonassociative_f2_green()).failures()]
     assert names == ["associativity", "commutativity"]
     bad_one = validate_green(nonassociative_f2_green(one=(0, 1, 0)))
-    assert [c.name for c in bad_one.failures()] == ["associativity", "unitality", "commutativity"]
+    assert [c.name for c in bad_one.failures()] == [
+        "associativity", "unitality", "right_unitality", "commutativity"
+    ]
     witness = bad_one.failures()[0].witness
     assert witness.startswith(("top generator", "bottom generator")) and "maps to" in witness
 

@@ -17,8 +17,15 @@ from hypothesis import strategies as st
 
 from mackeybox.boxtensor import (
     box,
+    box_map,
+    box_power,
     burnside_action_pairing,
+    contract_by_assignment,
+    contract_pair,
+    map_from_pairing,
+    nested_to_flat,
     pairing_from_matrices,
+    permute_twist,
     swap_map,
     unitor,
 )
@@ -34,7 +41,7 @@ from mackeybox.exactlin import (
     zero_group,
     zero_hom,
 )
-from mackeybox.green import constant_green, f4_frobenius_green
+from mackeybox.green import constant_green, f4_frobenius_green, fixed_point_green, green_from_mult
 from mackeybox.intlinalg import IntMatrix, unimodular_inverse
 from mackeybox.mackey import (
     MackeyFunctor,
@@ -47,6 +54,7 @@ from mackeybox.mackey import (
     mackey_direct_sum,
     zero_map,
 )
+from mackeybox.simplicial import p_circle, tensor_green_with_circle
 
 F4 = FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]]))
 FROBENIUS = AbHom(F4, F4, IntMatrix([[1, 1], [0, 1]]))
@@ -64,14 +72,14 @@ def functors():
     }
 
 
-@st.composite
-def order_p_actions(draw):
-    """(p, v, gamma): a block-cyclic permutation of order p on Z^n or
-    (Z/q)^n, conjugated by a random unit upper-triangular matrix."""
-    p = draw(st.sampled_from([2, 3]))
+def _block_cyclic(draw, max_points=5):
+    """(p, v, perm, u): a block-cyclic permutation matrix of order p on
+    Z^n or (Z/q)^n, n <= max_points, and a random unit upper-triangular
+    matrix."""
+    p = draw(st.sampled_from([2, 3] if max_points >= 3 else [2]))
     q = draw(st.sampled_from([0, 2, 3, 4]))
-    blocks = draw(st.integers(min_value=1, max_value=2 if p == 2 else 1))
-    fixed = draw(st.integers(min_value=0, max_value=1))
+    blocks = draw(st.integers(min_value=1, max_value=max_points // p))
+    fixed = draw(st.integers(min_value=0, max_value=min(1, max_points - blocks * p)))
     n = blocks * p + fixed
     perm = [[0] * n for _ in range(n)]
     for b in range(blocks):
@@ -82,10 +90,32 @@ def order_p_actions(draw):
     shear = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         shear[i][j] = draw(st.integers(min_value=-1, max_value=1))
-    u = IntMatrix(shear)
-    gamma = u @ IntMatrix(perm) @ unimodular_inverse(u)
     v = free_group(n) if q == 0 else FGAbPresentation(n, IntMatrix.identity(n).scale(q))
-    return p, v, AbHom(v, v, gamma)
+    return p, v, IntMatrix(perm), IntMatrix(shear)
+
+
+@st.composite
+def order_p_actions(draw):
+    """(p, v, gamma): a block-cyclic permutation of order p on Z^n or
+    (Z/q)^n, conjugated by a random unit upper-triangular matrix."""
+    p, v, perm, u = _block_cyclic(draw)
+    return p, v, AbHom(v, v, u @ perm @ unimodular_inverse(u))
+
+
+@st.composite
+def order_p_rings(draw, max_points):
+    """The fixed-point Green functor of the ring of functions on the n
+    points that an ``order_p_actions`` action permutes, written in the same
+    random basis: e_i e_j = [i = j] e_i and 1 = sum of the e_i, moved by u."""
+    p, v, perm, u = _block_cyclic(draw, max_points)
+    n = v.num_generators
+    u_inv = unimodular_inverse(u)
+    pointwise = IntMatrix.from_columns(
+        [tuple(int(i == j == k) for k in range(n)) for i in range(n) for j in range(n)], n
+    )
+    gamma = AbHom(v, v, u @ perm @ u_inv)
+    one = tuple(sum(row) for row in u.rows)
+    return fixed_point_green(p, v, gamma, u @ pointwise @ u_inv.kron(u_inv), one)
 
 
 def rebuilt(r):
@@ -185,6 +215,28 @@ def test_derived_operations_run_no_checks(monkeypatch):
     # the counters are live: a map built from data runs both checks
     rebuilt(incl)
     assert "AbHom.__post_init__" in calls and "MackeyMap.compatibility_failures" in calls
+
+
+def test_label_maps_run_no_square_checks(monkeypatch):
+    # the faces and degeneracies of the circle tensor, the unitor and the
+    # swap are built from labels: their level maps are checked against the
+    # relations, their squares are not
+    g = f4_frobenius_green()
+    calls = []
+    compatibility = MackeyMap.compatibility_failures
+
+    def counted(self):
+        calls.append(self)
+        return compatibility(self)
+
+    monkeypatch.setattr(MackeyMap, "compatibility_failures", counted)
+    sm = tensor_green_with_circle(g, p_circle(2, 3), 3)
+    bp = box(g.underlying, g.underlying)
+    unitor(g.underlying)
+    swap_map(bp, bp)
+    assert calls == []
+    assert all(f.compatibility_failures() == [] for f in sm.faces.values())
+    assert len(calls) == len(sm.faces)
 
 
 def test_endpoint_mismatches_raise():
@@ -404,3 +456,120 @@ def test_maps_broken_in_one_square_match_oracle():
     for name, (s, t, top, bot) in cases.items():
         f = _unchecked(MackeyMap, s, t, AbHom(s.top, t.top, top), AbHom(s.bottom, t.bottom, bot))
         assert [c.name for c in f.compatibility_failures()] == compatibility_oracle(f) == [name]
+
+
+# ---------------------------------------------------------------------------
+# maps out of box products: the squares their constructors no longer check
+
+
+def product_green(g, h):
+    """The product ring of two Green functors, on ``mackey_direct_sum``."""
+    s, _, _ = mackey_direct_sum(g.underlying, h.underlying)
+
+    def blocks(a, b):
+        na, nb = a.nrows, b.nrows
+        cols = []
+        for i in range(na + nb):
+            for j in range(na + nb):
+                if i < na and j < na:
+                    cols.append(tuple(a.column(i * na + j)) + (0,) * nb)
+                elif i >= na and j >= na:
+                    cols.append((0,) * na + tuple(b.column((i - na) * nb + j - na)))
+                else:
+                    cols.append((0,) * (na + nb))
+        return IntMatrix.from_columns(cols, na + nb)
+
+    one = tuple(g.one_top()) + tuple(h.one_top())
+    return green_from_mult(s, one, blocks(g.mult.f_top.matrix, h.mult.f_top.matrix),
+                           blocks(g.mult.f_bot.matrix, h.mult.f_bot.matrix))
+
+
+def label_maps(g, data):
+    """The six label maps on box powers of ``g.underlying`` of arity 1 to 3,
+    with permutations, twists and slot assignments drawn from ``data``: the
+    unitor and the multiplication, then per arity a box of maps, a
+    permutation, the pair contractions and three monomial contractions,
+    then ``nested_to_flat`` on both sides."""
+    m = g.underlying
+    bp = {k: box_power(m, k) for k in (1, 2, 3)}
+    twist, one = MackeyMap(m, m, identity_hom(m.top), m.weyl), identity_map(m)
+    twists = st.integers(min_value=0, max_value=g.prime - 1)
+    maps = [unitor(m), map_from_pairing(g.mult, bp[2])]
+    for k in (1, 2, 3):
+        maps.append(box_map(bp[k], bp[k], [twist, one, twist][:k]))
+        perm = data.draw(st.permutations(range(k)))
+        shifts = data.draw(st.lists(twists, min_size=k, max_size=k))
+        maps.append(permute_twist(bp[k], bp[k], perm, shifts))
+        maps.extend(contract_pair(bp[k], i, g.mult, bp[k - 1]) for i in range(k - 1))
+        for k_dst in (1, 2, 3):
+            slots = data.draw(st.lists(st.integers(0, k_dst - 1), min_size=k, max_size=k))
+            assignment = {
+                s: [(j, data.draw(twists)) for j in range(k) if slots[j] == s] for s in range(k_dst)
+            }
+            maps.append(contract_by_assignment(bp[k], bp[k_dst], assignment, g.mult,
+                                               g.one_top(), g.one_bot()))
+    for side in ("left", "right"):
+        maps.append(nested_to_flat(nested(m, bp[2], side), bp[2], side, bp[3]))
+    return maps
+
+
+def nested(m, inner, side):
+    """box(box(M, M), M) for side "left", box(M, box(M, M)) for "right"."""
+    return box(inner.result, m) if side == "left" else box(m, inner.result)
+
+
+def flat_to_nested(outer, inner, side, flat):
+    """The inverse of ``nested_to_flat`` on labels, through the checked
+    constructors: a flat pure tensor goes to the pure tensor of its inner
+    pure label, a flat transfer class to the transfer class of its inner
+    bottom label, and a flat bottom tensor to its outer bottom label."""
+
+    def outer_tuple(flat_tuple, inner_index):
+        if side == "left":
+            return (inner_index(flat_tuple[:2]), flat_tuple[2])
+        return (flat_tuple[0], inner_index(flat_tuple[1:]))
+
+    def matrix(labels, images):
+        return IntMatrix.from_columns([[int(x == y) for x in labels] for y in images], len(labels))
+
+    top = matrix(outer.top_labels, [
+        ("pure", outer_tuple(t, lambda it: inner.top_labels.index(("pure", it))))
+        if kind == "pure" else ("tr", outer_tuple(t, inner.bot_labels.index))
+        for kind, t in flat.top_labels
+    ])
+    bot = matrix(outer.bot_labels, [outer_tuple(t, inner.bot_labels.index) for t in flat.bot_labels])
+    src, dst = flat.result, outer.result
+    return MackeyMap(src, dst, AbHom(src.top, dst.top, top), AbHom(src.bottom, dst.bottom, bot))
+
+
+def assert_label_maps_are_maps(g, data):
+    """Every label map commutes with transfer, restriction and the action,
+    though none of them checked it; the unitor is an isomorphism, both
+    ``nested_to_flat`` maps are inverse to ``flat_to_nested``, and the swap
+    squares to the identity."""
+    maps = label_maps(g, data)
+    for f in maps:
+        assert f.compatibility_failures() == []
+    assert maps[0].is_isomorphism()
+    m = g.underlying
+    inner, flat = box_power(m, 2), box_power(m, 3)
+    for side, f in zip(("left", "right"), maps[-2:]):
+        back = flat_to_nested(nested(m, inner, side), inner, side, flat)
+        assert back.compose(f).equals(identity_map(f.source))
+        assert f.compose(back).equals(identity_map(f.target))
+    swap = swap_map(inner, inner)
+    assert swap.compose(swap).equals(identity_map(inner.result))
+
+
+# box products of arity 3 have n^3 bottom generators, so the factors stay
+# at three points, and at two in a direct sum
+@given(order_p_rings(max_points=3), st.data())
+@settings(max_examples=6, deadline=None)
+def test_label_maps_commute_with_structure_on_random_actions(g, data):
+    assert_label_maps_are_maps(g, data)
+
+
+@given(order_p_rings(max_points=2), st.sampled_from([0, 2, 3, 4]), st.data())
+@settings(max_examples=6, deadline=None)
+def test_label_maps_commute_with_structure_on_direct_sums(g, n, data):
+    assert_label_maps_are_maps(product_green(g, constant_green(g.prime, n)), data)

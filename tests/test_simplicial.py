@@ -297,12 +297,16 @@ GREENS = {
 
 @pytest.mark.parametrize("name", sorted(GREENS))
 def test_tensor_green_levels_and_identities(name):
-    # the construction checks the identities on orbit assignments only; the
-    # Mackey-level check decides them again on the composed maps
+    # the construction checks the identities on orbit assignments and the
+    # ring on its pairing only; the Mackey-level check decides the identities
+    # again on the composed maps, and every face and degeneracy has the
+    # squares that its constructor does not check
     g = GREENS[name]()
     sm = tensor_green_with_circle(g, p_circle(g.prime, 3), 3)
     assert [lvl.arity for lvl in sm.levels] == [1, 2, 3, 4]
     assert sm.identity_failures() == []
+    for key, f in list(sm.faces.items()) + list(sm.degeneracies.items()):
+        assert f.compatibility_failures() == [], key
 
 
 def test_tensor_green_requires_free_action():
@@ -405,7 +409,7 @@ def _moore_homology(sm):
     return homology_of_complex(MackeyChainComplex(0, sm.truncation, objects, differentials))
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_burnside_circle_tensor_is_the_unit_in_homology(t):
     # the Burnside functor is the unit for the box product, so every level is
     # A and the faces are identities: d_n is 0 for odd n and the identity for
