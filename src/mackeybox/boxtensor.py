@@ -7,8 +7,9 @@ transfer class for every bottom tensor generator, modulo three families of
 relations: tensor relations, coinvariance of transfer classes under the
 diagonal action, and Frobenius reciprocity tying a transferred element in
 any slot to the transfer class of its restriction.  Each distinct factor
-is checked against the Mackey axioms once, as it comes in; the product's
-axioms follow from its factors' and are not checked again.
+is checked against the Mackey axioms as it comes in, and a functor keeps
+its verdict, so it is decided once however many products are built from
+it; the product's axioms follow from its factors' and are not checked.
 
 Every generator of the result carries a label (a pure tuple or a transfer
 class tuple).  Maps out of box products (permutations, twists, face and
@@ -17,15 +18,17 @@ gives the images of the pure labels and of the bottom labels, and since
 transfer class k is tr(bottom generator k), the transfer block of the top
 matrix is ``target.tr`` composed with the bottom matrix.  Its level maps
 are checked against the relations; its squares follow from the small
-inputs each constructor checks once, and are not checked.  A map given
-products whose factors do not fit its data raises ``FactorMismatch``.
-Composites, sums and multiples of these maps are maps by construction
-(README, "Where maps are checked").
+inputs each constructor checks, and are not checked.  A pairing keeps the
+verdict on its laws, so it is decided once however many maps are built
+from it.  A map given products whose factors do not fit its data raises
+``FactorMismatch``.  Composites, sums and multiples of these maps are maps
+by construction (README, "Where maps are checked").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from .errors import (
@@ -103,8 +106,9 @@ def _tuple_vectors(vectors):
 def box_many(factors, limit=None):
     """Flat presentation of the box product of the given factors.
 
-    Each distinct factor is checked once by ``validate_mackey``, raising
-    ``NotAMackeyFunctor``; the product's axioms then hold by construction:
+    Each distinct factor is checked by ``validate_mackey``, which decides a
+    functor once and keeps its report, raising ``NotAMackeyFunctor``; the
+    product's axioms then hold by construction:
     weyl^p and weyl∘res slot by slot, res∘tr by the transfer block and
     tr∘weyl by coinvariance.
     """
@@ -240,8 +244,16 @@ class BilinearPairing:
     def check(self):
         """List of violated conditions, empty when the pairing is valid: 1 is
         res(x y) = res x res y, 2 is tr(x) y = tr(x res y), 3 is
-        x tr(y) = tr(res x y) and "weyl" is equivariance at the bottom, each
-        an identity between maps out of a tensor of levels, on the matrices."""
+        x tr(y) = tr(res x y) and "weyl" is equivariance at the bottom.  Each
+        pairing is decided once (``_violations``); every call returns a
+        fresh list."""
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self):
+        """The laws ``check`` lists, each an identity between maps out of a
+        tensor of levels, decided on the matrices on first use and kept like
+        ``MackeyFunctor._axioms``."""
         m, n, L = self.m, self.n, self.target
         top, bot = self.f_top.matrix, self.f_bot.matrix
         i_mt, i_nt, i_mb, i_nb = (
@@ -253,7 +265,8 @@ class BilinearPairing:
             (3, L.top, top @ i_mt.kron(n.tr.matrix), L.tr.matrix @ bot @ m.res.matrix.kron(i_nb)),
             ("weyl", L.bottom, L.weyl.matrix @ bot, bot @ m.weyl.matrix.kron(n.weyl.matrix)),
         )
-        return [law for law, level, f, g in laws if first_nonzero_column(level, f - g) is not None]
+        return tuple(law for law, level, f, g in laws
+                     if first_nonzero_column(level, f - g) is not None)
 
     def top_product(self, a, b):
         """Coordinates of e_a * e_b for top generators e_a of M and e_b of N."""
@@ -428,6 +441,8 @@ def contract_by_assignment(src: BoxProduct, dst: BoxProduct, assignment, pairing
     normalized to (descending twist, ascending slot) order, which matches
     the rotate-then-multiply convention of the twisted face maps.  The
     pairing must be a valid product on the factor, with res(one_top) = one_bot.
+    The pairing keeps its verdict, so the maps built from one pairing, such
+    as the faces and degeneracies of a circle tensor, decide its laws once.
     """
     m = src.factors[0]
     _require_factors("contract_by_assignment", src.factors + dst.factors,

@@ -223,18 +223,20 @@ def solve(mat, target):
     """
     u, d, v = smith_normal_form(mat)
     w = [sum(a * b for a, b in zip(row, target)) for row in u.rows]
-    y = [0] * mat.ncols
     k = min(mat.nrows, mat.ncols)
+    support = []  # the nonzero entries (j, y_j) of y with D y = w, at most rank many
     for i in range(mat.nrows):
         di = d.rows[i][i] if i < k else 0
         if di == 0:
             if w[i] != 0:
                 return None
         else:
-            if w[i] % di != 0:
+            yi, r = divmod(w[i], di)
+            if r:
                 return None
-            y[i] = w[i] // di
-    return tuple(sum(v.rows[i][j] * y[j] for j in range(mat.ncols)) for i in range(mat.ncols))
+            if yi:
+                support.append((i, yi))
+    return tuple(sum(row[j] * yj for j, yj in support) for row in v.rows)
 
 
 def kernel_basis(mat):

@@ -74,6 +74,21 @@ class MackeyFunctor:
             if (hom.source, hom.target) != (getattr(self, source), getattr(self, target)):
                 raise LevelMismatch(f"{name} must run from the {source} to the {target} level")
 
+    @cached_property
+    def _axioms(self):
+        """The ``validate_mackey`` report, decided on first use.  It is kept
+        in the instance ``__dict__``, outside the dataclass fields, like
+        ``FGAbPresentation._reducer``: equality, hashing and ``to_json``
+        ignore it, and it is freed with the functor."""
+        p, top, bottom = self.prime, self.top, self.bottom
+        tr, res, weyl = self.tr.matrix, self.res.matrix, self.weyl.matrix
+        return ValidationReport((
+            _hom_eq_check("weyl_order_p", bottom, weyl.power(p), IntMatrix.identity(weyl.nrows)),
+            _hom_eq_check("res_tr_is_orbit_sum", bottom, res @ tr, orbit_sum(weyl, p)),
+            _hom_eq_check("tr_weyl_is_tr", top, tr @ weyl, tr),
+            _hom_eq_check("weyl_res_is_res", bottom, weyl @ res, res),
+        ))
+
     def is_zero(self):
         return self.top.is_zero_group() and self.bottom.is_zero_group()
 
@@ -138,17 +153,10 @@ def _hom_eq_check(name, target: FGAbPresentation, f: IntMatrix, g: IntMatrix):
 
 
 def validate_mackey(m: MackeyFunctor) -> ValidationReport:
-    """Check the four axioms; failures carry a witness generator."""
-    tr, res, weyl = m.tr.matrix, m.res.matrix, m.weyl.matrix
-    checks = [
-        _hom_eq_check(
-            "weyl_order_p", m.bottom, weyl.power(m.prime), IntMatrix.identity(weyl.nrows)
-        ),
-        _hom_eq_check("res_tr_is_orbit_sum", m.bottom, res @ tr, orbit_sum(weyl, m.prime)),
-        _hom_eq_check("tr_weyl_is_tr", m.top, tr @ weyl, tr),
-        _hom_eq_check("weyl_res_is_res", m.bottom, weyl @ res, res),
-    ]
-    return ValidationReport(tuple(checks))
+    """Check the four axioms; failures carry a witness generator.  Each
+    functor is decided once and keeps its report (``MackeyFunctor._axioms``),
+    so a later call on it costs one lookup."""
+    return m._axioms
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from itertools import product
 
 import pytest
@@ -48,6 +50,7 @@ from mackeybox.green import (
 )
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
+    MackeyFunctor,
     _closure,
     _map_tables,
     burnside,
@@ -745,3 +748,90 @@ def test_green_checks_build_no_box_product(monkeypatch):
     assert is_mackey_field(f4_frobenius_green()).is_field
     assert not is_mackey_field(constant_green(2, 2)).is_field
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# verdicts kept on the checked object
+
+
+def _law_one_broken_pairing():
+    # res(1 * 1) = 1 at the top, but res(1) * res(1) = 2 at the bottom
+    return green_from_mult(constant(2, 3), (1,), IntMatrix([[1]]), IntMatrix([[2]])).mult
+
+
+def _transfer_broken_functor():
+    g = free_group(1)
+    return MackeyFunctor(2, g, g, AbHom(g, g, IntMatrix([[3]])), identity_hom(g), identity_hom(g))
+
+
+def test_kept_verdicts_take_no_matrix_products(monkeypatch):
+    good = f4_frobenius_green()
+    bad, broken = _law_one_broken_pairing(), _transfer_broken_functor()
+    good.mult.validate()
+    laws = bad.check()
+    reports = [validate_mackey(m) for m in (good.underlying, broken)]
+
+    def refuse(self, other):
+        raise AssertionError("a kept verdict was decided again")
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    assert good.mult.check() == []
+    good.mult.validate()
+    assert bad.check() == laws
+    with pytest.raises(IncompatiblePairing):
+        bad.validate()
+    assert [validate_mackey(m) for m in (good.underlying, broken)] == reports
+    assert reports[0].passed and not reports[1].passed
+
+
+def test_invalid_pairing_raises_on_every_call():
+    pairing = _law_one_broken_pairing()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(IncompatiblePairing) as err:
+            pairing.validate()
+        raised.append((err.value.condition, str(err.value), pairing.check()))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == 1
+    laws = pairing.check()
+    laws.clear()
+    assert pairing.check() == raised[0][2] != []
+
+
+def test_kept_verdicts_leave_equality_hash_and_json_alone():
+    checked, fresh = f4_frobenius_green(), f4_frobenius_green()
+    before = json.dumps(checked.to_json())
+    assert validate_green(checked).passed
+    assert "_violations" in vars(checked.mult) and "_axioms" in vars(checked.underlying)
+    assert "_violations" not in vars(fresh.mult) and "_axioms" not in vars(fresh.underlying)
+    assert checked.mult == fresh.mult and hash(checked.mult) == hash(fresh.mult)
+    assert checked.underlying == fresh.underlying
+    assert hash(checked.underlying) == hash(fresh.underlying)
+    assert json.dumps(checked.to_json()) == before == json.dumps(fresh.to_json())
+
+
+def test_replaced_pairing_is_decided_again():
+    valid = constant_green(2, 3).mult
+    valid.validate()
+    f_bot = valid.f_bot
+    broken = dataclasses.replace(valid, f_bot=AbHom(f_bot.source, f_bot.target, IntMatrix([[2]])))
+    assert "_violations" not in vars(broken)
+    with pytest.raises(IncompatiblePairing):
+        broken.validate()
+    assert valid.check() == [] != broken.check()
+
+
+def test_circle_tensor_decides_the_pairing_laws_once(monkeypatch):
+    calls = []
+    original = boxtensor.first_nonzero_column
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(boxtensor, "first_nonzero_column", counted)
+    # the t(t + 2) = 15 faces and degeneracies at t = 3 all contract through
+    # the pairing that self_module(green).validate() decided first: one pass
+    # over the four laws, where each contraction used to make its own
+    simplicial.tensor_green_with_circle(f4_frobenius_green(), simplicial.p_circle(2, 3), 3)
+    assert len(calls) == 4

@@ -113,6 +113,52 @@ def test_solve_and_kernel():
     assert len(k) == 2
 
 
+def full_sum_solve(mat, target):
+    """The solution of ``solve`` rebuilt as the full product x = V y over
+    all ncols entries of y, from the same Smith form."""
+    u, d, v = smith_normal_form(mat)
+    w = [sum(a * b for a, b in zip(row, target)) for row in u.rows]
+    y = [0] * mat.ncols
+    k = min(mat.nrows, mat.ncols)
+    for i in range(mat.nrows):
+        di = d.rows[i][i] if i < k else 0
+        if di == 0:
+            if w[i] != 0:
+                return None
+        else:
+            if w[i] % di != 0:
+                return None
+            y[i] = w[i] // di
+    return tuple(sum(v.rows[i][j] * y[j] for j in range(mat.ncols)) for i in range(mat.ncols))
+
+
+def _image(rows, x):
+    return tuple(sum(r * c for r, c in zip(row, x)) for row in rows)
+
+
+@st.composite
+def solve_cases(draw, max_dim=4):
+    """A matrix, a target it reaches (the image of a small vector) and a
+    random target, which it usually misses."""
+    rows, m, n = draw(raw_matrices(max_dim))
+    x = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)]
+    return rows, m, n, _image(rows, x), tuple(draw(entries) for _ in range(m))
+
+
+@given(solve_cases())
+@example(([], 0, 3, (), ()))  # 0x3
+@example(([[], [], []], 3, 0, (0, 0, 0), (1, 0, 0)))  # 3x0
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_full_sum(case):
+    rows, m, n, reachable, noise = case
+    a = IntMatrix(rows, n)
+    assert solve(a, reachable) is not None
+    for target in (reachable, noise):
+        got = solve(a, target)
+        assert got == full_sum_solve(a, target)
+        assert got is None or _image(rows, got) == target
+
+
 def test_unimodular_inverse():
     m = IntMatrix([[1, 2], [1, 3]])
     inv = unimodular_inverse(m)
