@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import add
 
 from .boxtensor import box
 from .errors import InfiniteGroup, UnclassifiedField, WindowOverflow
@@ -220,8 +221,9 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     per degree, and for every in-window pair d1 + d2 = s the ring piece at
     d1 times the pick at d2 lies in the pick at s.  Each pair's products
     become verdict tables once, and every atom (a minimal nonzero subfunctor
-    at one degree) is closed to the least graded ideal containing it.  No
-    proper nonzero ideal exists exactly when each of these is all-full.
+    at one degree) is closed to the least graded ideal containing it,
+    stopping at atoms already known to generate everything.  No proper
+    nonzero ideal exists exactly when each of these is all-full.
     Otherwise the witness is the first combination, in the order of
     ``itertools.product`` over the lattices of ``enumerate_subfunctors``,
     that is a graded ideal and neither all-zero nor all-full; an ordered
@@ -231,8 +233,10 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
 
     A piece with infinite level falls back to a deterministic
     generated-ideal probe (transfers of generators first); the probe can
-    only produce witnesses, never a certificate.
+    only produce witnesses, never a certificate.  A window over another
+    prime than the tower's raises ``PrimeMismatch``.
     """
+    _same_prime(tower.prime, window.prime)
     # the tower's pieces in the window, in the order of ``window.degrees()``
     degrees = sorted(
         (d for d in tower.pieces if d.prime == window.prime and window.contains(d)),
@@ -245,8 +249,7 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
         return _witness_probe(tower, degrees)
 
     lattices = _WindowLattices(tower, degrees)
-    proper = any(lattices.least_ideal(seed) != lattices.fulls for seed in lattices.atom_seeds())
-    combo = lattices.first_witness() if proper else None
+    combo = None if lattices.atoms_generate_everything() else lattices.first_witness()
     if combo is None:
         return PartialCertificate(True, "no_graded_ideal_in_window", None)
     choice = [subs[i] for subs, i in zip(lattices.subs, combo)]
@@ -271,7 +274,7 @@ class _WindowLattices:
     subfunctor i at d2 lies in subfunctor k at s exactly when k is in
     ``allowed[i]``.  A combination is a graded ideal when it passes every
     verdict.  A smaller source or a larger target can only pass, so graded
-    ideals are closed under intersection.
+    ideals are closed under intersection and ``least_ideal`` exists.
     """
 
     def __init__(self, tower, degrees):
@@ -289,16 +292,19 @@ class _WindowLattices:
         self.sizes = [[len(t) + len(b) for t, b in sets] for sets in self.sets]
         self.zeros = tuple(next(i for i, s in enumerate(subs) if s.is_zero()) for subs in self.subs)
         self.fulls = tuple(next(i for i, s in enumerate(subs) if s.is_full()) for subs in self.subs)
-        position = {d: t for t, d in enumerate(degrees)}
+        # degrees are added as integer tuples (a, m_1, ...), not as an
+        # RODegree built and hashed for each of the n^2 pairs
+        keys = [(d.a,) + d.m for d in degrees]
+        position = {k: t for t, k in enumerate(keys)}
         tables = {}
         self.by_source = [[] for _ in degrees]
-        for d1, ring in zip(degrees, pieces):
-            for t, d2 in enumerate(degrees):
-                u = position.get(d1 + d2)
+        for d1, k1, ring in zip(degrees, keys, pieces):
+            for t, k2 in enumerate(keys):
+                u = position.get(tuple(map(add, k1, k2)))
                 if u is None:
                     continue
-                parts = (tower.pairings[(d1, d2)], ring, pieces[t], pieces[u])
-                key = tuple(id(x) for x in parts)
+                parts = (tower.pairings[(d1, degrees[t])], ring, pieces[t], pieces[u])
+                key = (id(parts[0]), id(ring), id(pieces[t]), id(pieces[u]))
                 if key not in tables:
                     tables[key] = _verdict_table(*parts, self.sets[t], self.sets[u])
                 self.by_source[t].append((u, tables[key]))
@@ -316,25 +322,48 @@ class _WindowLattices:
                 if count == 2:
                     yield self.zeros[:t] + (k,) + self.zeros[t + 1:]
 
-    def least_ideal(self, seed):
-        """The least graded ideal containing the combination ``seed``.
+    def least_ideal(self, seed, complete=None):
+        """The least graded ideal containing the combination ``seed``, or
+        all-full as soon as a pick rises into ``complete[u]``, subfunctors at
+        u whose least ideal the caller knows to be all-full.
 
         A fixed point: while a verdict (u, allowed) of t fails, raise the pick
         at u to the smallest subfunctor in ``allowed`` of the pick at t that
         contains the current one.  Every subfunctor is in the lattice, so
         that one is the subfunctor generated by both, and any graded ideal
-        containing the current picks contains it too.
+        containing the current picks contains it too.  The work list starts
+        at the seed's nonzero degrees: a zero pick passes every verdict,
+        since its products are zero.
         """
         combo = list(seed)
-        todo = list(range(len(combo)))
+        todo = [t for t, (k, zero) in enumerate(zip(seed, self.zeros)) if k != zero]
         while todo:
             t = todo.pop()
             for u, allowed in self.by_source[t]:
                 passing = allowed[combo[t]]
                 if combo[u] not in passing:
                     combo[u] = min(passing & self.above[u][combo[u]], key=self.sizes[u].__getitem__)
+                    if complete is not None and combo[u] in complete[u]:
+                        return self.fulls
                     todo.append(u)
         return tuple(combo)
+
+    def atoms_generate_everything(self):
+        """Whether every atom's least ideal is all-full, that is, whether no
+        proper nonzero graded ideal exists.  Each subfunctor containing an
+        atom that generates everything does too and is marked complete:
+        marked atoms are skipped, and a later closure stops when it raises a
+        pick into a marked subfunctor.
+        """
+        complete = [frozenset() for _ in self.subs]
+        for seed in self.atom_seeds():
+            t = next(t for t, (k, zero) in enumerate(zip(seed, self.zeros)) if k != zero)
+            if seed[t] in complete[t]:
+                continue
+            if self.least_ideal(seed, complete) != self.fulls:
+                return False
+            complete[t] |= self.above[t][seed[t]]
+        return True
 
     def first_witness(self):
         """The first graded ideal, neither all-zero nor all-full, in the
@@ -475,6 +504,8 @@ MAX_GRADED_PIECES = 4096
 def graded_box(a: GradedMackey, b: GradedMackey, out_window=None, limit=None) -> GradedMackey:
     """Degreewise box product: piece at n is the sum over k + l = n."""
     _same_prime(a.prime, b.prime)
+    if out_window is not None:
+        _same_prime(a.prime, out_window.prime)
     sums = {}
     for d1 in a.support():
         for d2 in b.support():

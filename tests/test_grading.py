@@ -196,6 +196,19 @@ def test_mixed_primes_raise_prime_mismatch():
         graded_box(GradedMackey(2, {deg2(0, 0): f2}), GradedMackey(3, {deg3(0, 0): f3}))
 
 
+def test_window_over_another_prime_raises_prime_mismatch():
+    tower = em_tower(classify_field_shape(field_top_green(2, 2)), BoxWindow(2, 1, 1))
+    with pytest.raises(PrimeMismatch, match="C_2 and C_3"):
+        graded_field_window_check(tower, BoxWindow(3, 1, 1))
+
+
+def test_graded_box_out_window_over_another_prime_raises_prime_mismatch():
+    f2 = field_top_green(2, 2).underlying
+    a = GradedMackey(2, {deg2(0, 0): f2, deg2(1, 0): f2})
+    with pytest.raises(PrimeMismatch, match="C_2 and C_5"):
+        graded_box(a, a, out_window=BoxWindow(5, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # graded window certificate
 
@@ -209,7 +222,7 @@ def test_graded_window_no_ideal_for_concentrated_f2():
     assert cert.verdict == "no_graded_ideal_in_window"
 
 
-@pytest.mark.parametrize("m", [10, 20])
+@pytest.mark.parametrize("m", [10, 20, 40, 80])
 def test_graded_window_decides_large_f2_windows(m):
     # 2^(2m+1) combinations; the atoms' generated ideals decide these
     # windows with no search
@@ -257,6 +270,19 @@ def laurent_f2_tower(degrees):
     )
 
 
+def truncated_polynomial_tower():
+    """The field F_2 concentrated at the top in degrees 0 and 1, with x^2 = 0
+    (degree 2 is not a piece): degree 0 generates everything, and degree 1
+    alone is a proper ideal."""
+    g = field_top_green(2, 2)
+    d0, d1 = deg2(0, 0), deg2(1, 0)
+    return GradedGreenTower(
+        2,
+        {d0: g.underlying, d1: g.underlying},
+        {(d0, d0): g.mult, (d0, d1): g.mult, (d1, d0): g.mult},
+    )
+
+
 def f4_over_f2_tower():
     """F_4 with the Frobenius (as a Mackey functor) at degree -1 over
     constant F_2 at degree 0; the mixed pairings are scalar multiplication."""
@@ -282,8 +308,9 @@ def f4_over_f2_tower():
         laurent_f2_tower([deg2(0, 0), deg2(1, 0)]),
         laurent_f2_tower([deg2(-1, 0), deg2(0, 0), deg2(1, 0)]),
         f4_over_f2_tower(),
+        truncated_polynomial_tower(),
     ],
-    ids=["laurent-0-1", "laurent-3", "f4-over-f2"],
+    ids=["laurent-0-1", "laurent-3", "f4-over-f2", "truncated-polynomial"],
 )
 def test_graded_window_witness_matches_brute_force(tower):
     window = BoxWindow(2, 1, 0)
@@ -466,6 +493,42 @@ def test_least_ideal_of_each_atom_is_the_intersection_of_the_ideals_containing_i
             top = frozenset.intersection(*(ideal[t].top_elements for ideal in containing))
             bottom = frozenset.intersection(*(ideal[t].bottom_elements for ideal in containing))
             assert (subs[least[t]].top_elements, subs[least[t]].bottom_elements) == (top, bottom)
+
+
+def assert_decision_matches_every_atom_closed_in_full(tower, window):
+    """``atoms_generate_everything``, which stops closures at atoms known to
+    generate everything, against closing every atom to its least ideal."""
+    degrees = [d for d in window.degrees() if d in tower.pieces]
+    lattices = _WindowLattices(tower, degrees)
+    every = all(lattices.least_ideal(seed) == lattices.fulls for seed in lattices.atom_seeds())
+    assert lattices.atoms_generate_everything() == every
+    return every
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_towers())
+def test_early_stop_matches_full_closures_on_small_towers(tower):
+    assert_decision_matches_every_atom_closed_in_full(tower, SMALL_WINDOW)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_early_stop_matches_full_closures_on_f2_towers(m):
+    window = BoxWindow(2, m, m)
+    tower = em_tower(classify_field_shape(field_top_green(2, 2)), window)
+    assert assert_decision_matches_every_atom_closed_in_full(tower, window)
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [
+        laurent_f2_tower([deg2(-1, 0), deg2(0, 0), deg2(1, 0)]),
+        f4_over_f2_tower(),
+        truncated_polynomial_tower(),
+    ],
+    ids=["laurent-3", "f4-over-f2", "truncated-polynomial"],
+)
+def test_early_stop_matches_full_closures_where_an_ideal_exists(tower):
+    assert not assert_decision_matches_every_atom_closed_in_full(tower, BoxWindow(2, 1, 0))
 
 
 def products_land_in(tower, d1, d2, sub, target):
