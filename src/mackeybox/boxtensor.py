@@ -36,6 +36,7 @@ from .errors import (
     IncompatiblePairing,
     NotAMackeyFunctor,
     NotAModule,
+    NotAnIsomorphism,
     PrimeMismatch,
     SizeLimit,
 )
@@ -43,8 +44,9 @@ from .exactlin import (
     AbHom,
     FGAbPresentation,
     _unchecked,
+    factor_through_injection,
     first_nonzero_column,
-    solve_membership,
+    identity_hom,
     tensor,
     vector_tensor,
 )
@@ -551,19 +553,14 @@ def nested_to_flat(outer: BoxProduct, inner: BoxProduct, side, flat: BoxProduct)
 
 
 def invert_iso(m: MackeyMap) -> MackeyMap:
-    """Inverse of an isomorphism of Mackey functors, solved generator-wise."""
-
-    def invert(h: AbHom) -> AbHom:
-        cols = []
-        for e in IntMatrix.identity(h.target.num_generators).rows:
-            c = solve_membership(h.target, h.matrix, e)
-            if c is None:
-                raise ValueError("map is not surjective")
-            cols.append(c)
-        mat = IntMatrix.from_columns(cols, h.source.num_generators)
-        return AbHom(h.target, h.source, mat)
-
-    return MackeyMap(m.target, m.source, invert(m.f_top), invert(m.f_bot))
+    """Inverse of an isomorphism of Mackey functors, each level solved in one
+    batch; a map that is not an isomorphism raises ``NotAnIsomorphism``."""
+    failure = m.isomorphism_failure()
+    if failure is not None:
+        raise NotAnIsomorphism(*failure)
+    top = factor_through_injection(identity_hom(m.f_top.target), m.f_top)
+    bot = factor_through_injection(identity_hom(m.f_bot.target), m.f_bot)
+    return MackeyMap(m.target, m.source, top, bot)
 
 
 def collapse_single(bp: BoxProduct) -> MackeyMap:

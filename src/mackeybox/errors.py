@@ -112,6 +112,16 @@ class NotAMackeyFunctor(MackeyboxError, ValueError):
         super().__init__(f"not a Mackey functor: {witnessed}")
 
 
+class NotAnIsomorphism(MackeyboxError, ValueError):
+    """A map of Mackey functors that is not an isomorphism where one is
+    required; ``level`` names the first level map that is not one and
+    ``reason`` says whether its invariants differ or its cokernel is nonzero."""
+
+    def __init__(self, level, reason):
+        self.level, self.reason = level, reason
+        super().__init__(f"not an isomorphism at the {level} level: {reason}")
+
+
 class NotAMackeyMap(MackeyboxError, ValueError):
     """Level maps that do not commute with transfer, restriction or the action;
     ``failures`` holds the failed squares, each with its witness generator."""

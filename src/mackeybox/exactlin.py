@@ -425,29 +425,26 @@ def quotient_by_subgroup(pres: FGAbPresentation, element_rows):
     return q, proj
 
 
-def solve_membership(pres: FGAbPresentation, generator_cols: IntMatrix, vec):
-    """Coefficients expressing ``vec`` in the given generators modulo relations.
+def solve_membership(pres: FGAbPresentation, generator_cols: IntMatrix, vecs):
+    """Coefficients expressing each of ``vecs`` in the given generators
+    modulo relations, from one Smith form of the stacked system.
 
-    Returns a tuple of length generator_cols.ncols or None.
+    Returns one entry per vector: a tuple of length generator_cols.ncols,
+    or None when the vector is not in the span.
     """
     tr = pres.relations.transpose()
     stacked = generator_cols.hstack(tr) if tr.ncols else generator_cols
-    sol = solve(stacked, tuple(vec))
-    if sol is None:
-        return None
-    return sol[: generator_cols.ncols]
+    solutions = solve(stacked, map(tuple, vecs))
+    return [None if sol is None else sol[: generator_cols.ncols] for sol in solutions]
 
 
 def factor_through_injection(f: AbHom, incl: AbHom) -> AbHom:
     """g with incl . g == f, for incl injective; errors if f misses the image."""
     if incl.target != f.target:
         raise ValueError("codomain mismatch")
-    cols = []
-    for j in range(f.matrix.ncols):
-        c = solve_membership(f.target, incl.matrix, f.matrix.column(j))
-        if c is None:
-            raise IllFormedHom("map does not factor through the inclusion")
-        cols.append(c)
+    cols = solve_membership(f.target, incl.matrix, f.matrix.columns())
+    if None in cols:
+        raise IllFormedHom("map does not factor through the inclusion")
     mat = IntMatrix.from_columns(cols, incl.source.num_generators)
     return AbHom(f.source, incl.source, mat)
 
@@ -547,13 +544,17 @@ def finite_model(pres: FGAbPresentation) -> FiniteModel:
     return pres._model
 
 
+def span_key(pres: FGAbPresentation, rows):
+    """Hermite key of the subgroup of ``pres`` generated by the element
+    ``rows``: the canonical row basis of their span plus the relations, so
+    any two generating sets of one subgroup give the same key."""
+    return hermite_row_basis(list(rows) + list(pres.relations.rows), pres.num_generators)
+
+
 def subgroup_key(model: FiniteModel, elements):
-    """Deterministic Hermite-form key of the subgroup generated by the given
-    canonical coordinates: the subgroup's elements or any generating set of
-    it give the same key."""
-    rows = [model.from_canonical(c) for c in elements]
-    rows.extend(model.pres.relations.rows)
-    return hermite_row_basis(rows, model.pres.num_generators)
+    """``span_key`` of the subgroup generated by the given canonical
+    coordinates, such as its elements or any generating set of it."""
+    return span_key(model.pres, [model.from_canonical(c) for c in elements])
 
 
 def _lattice(model: FiniteModel, orbits):

@@ -35,9 +35,10 @@ from .exactlin import (
     identity_hom,
     quotient_by_subgroup,
     solve_membership,
+    span_key,
     vector_tensor,
 )
-from .intlinalg import IntMatrix, hermite_row_basis
+from .intlinalg import IntMatrix
 from .mackey import (
     MackeyFunctor,
     MackeyMap,
@@ -255,21 +256,14 @@ def fixed_point_green(p, v: FGAbPresentation, gamma: AbHom, bot_mult: IntMatrix,
     """
     m = j_bottom(p, v, gamma)
     incl = m.res  # inclusion of the fixed subgroup
-    n_top = m.top.num_generators
-    top_cols = []
-    for i in range(n_top):
-        xi = incl.matrix.column(i)
-        for j in range(n_top):
-            yj = incl.matrix.column(j)
-            prod = _bilinear_vec(bot_mult, xi, yj)
-            coef = solve_membership(v, incl.matrix, prod)
-            if coef is None:
-                raise NotAModule("fixed level is not closed under multiplication")
-            top_cols.append(coef)
-    top_mult = IntMatrix.from_columns(top_cols, n_top)
-    one_top = solve_membership(v, incl.matrix, tuple(one_bot_vec))
+    fixed = incl.matrix.columns()
+    products = [_bilinear_vec(bot_mult, x, y) for x in fixed for y in fixed]
+    *top_cols, one_top = solve_membership(v, incl.matrix, products + [one_bot_vec])
+    if None in top_cols:
+        raise NotAModule("fixed level is not closed under multiplication")
     if one_top is None:
         raise NotAModule("ring unit is not fixed by the action")
+    top_mult = IntMatrix.from_columns(top_cols, m.top.num_generators)
     return green_from_mult(m, one_top, top_mult, bot_mult)
 
 
@@ -580,7 +574,8 @@ def classify_field_shape(g: GreenFunctor) -> FieldShape:
     if not k.is_zero_group():
         raise UnclassifiableShape("restriction is not injective")
     fixed, fixed_incl = hom_kernel(m.weyl - identity_hom(m.bottom))
-    if not _same_subgroup(m.bottom, m.res.matrix, fixed_incl.matrix):
+    image = span_key(m.bottom, m.res.matrix.columns())
+    if image != span_key(m.bottom, fixed_incl.matrix.columns()):
         raise UnclassifiableShape("restriction image differs from the fixed subgroup")
     if m.tr.is_zero():
         raise UnclassifiableShape("fixed-point shape requires a nonzero transfer")
@@ -594,15 +589,6 @@ def classify_field_shape(g: GreenFunctor) -> FieldShape:
         m.weyl,
         _additive_exponent(m.bottom),
     )
-
-
-def _same_subgroup(ambient, cols_a, cols_b):
-    rows_a = [cols_a.column(j) for j in range(cols_a.ncols)]
-    rows_b = [cols_b.column(j) for j in range(cols_b.ncols)]
-    rel = ambient.relations.rows
-    key_a = hermite_row_basis(list(rows_a) + list(rel), ambient.num_generators)
-    key_b = hermite_row_basis(list(rows_b) + list(rel), ambient.num_generators)
-    return key_a == key_b
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +606,8 @@ def ideal_generated_by(m: MackeyFunctor, mult: BilinearPairing, level, element_v
     ring_top = IntMatrix.identity(m.top.num_generators).rows
     ring_bot = IntMatrix.identity(m.bottom.num_generators).rows
 
-    def key(rows, pres):
-        return hermite_row_basis(list(rows) + list(pres.relations.rows), pres.num_generators)
-
     while True:
-        before = (key(top_gens, m.top), key(bot_gens, m.bottom))
+        before = (span_key(m.top, top_gens), span_key(m.bottom, bot_gens))
         new_top = list(top_gens)
         new_bot = list(bot_gens)
         for s in bot_gens:
@@ -636,9 +619,9 @@ def ideal_generated_by(m: MackeyFunctor, mult: BilinearPairing, level, element_v
             new_bot.append(m.res(s))
             for r in ring_top:
                 new_top.append(_bilinear_vec(mult.f_top.matrix, r, s))
-        top_gens = [list(r) for r in key(new_top, m.top)]
-        bot_gens = [list(r) for r in key(new_bot, m.bottom)]
-        after = (key(top_gens, m.top), key(bot_gens, m.bottom))
+        top_gens = [list(r) for r in span_key(m.top, new_top)]
+        bot_gens = [list(r) for r in span_key(m.bottom, new_bot)]
+        after = (span_key(m.top, top_gens), span_key(m.bottom, bot_gens))
         if after == before:
             return top_gens, bot_gens
 

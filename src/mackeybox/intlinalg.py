@@ -1,15 +1,14 @@
 """Exact integer matrices and their Smith normal form.
 
 Matrices are immutable, hashable, dense, and arbitrary precision.  Every
-Smith normal form comes from the pure-Python kernel in ``_snf_py``.  The full
-form ``smith_normal_form`` is cached by matrix value; ``smith_u_diagonal``
-builds no V and caches nothing, for callers that keep the result themselves.
+Smith normal form comes from the pure-Python kernel in ``_snf_py`` and is
+cached nowhere: a caller that reads one form twice keeps it itself, and
+``solve`` takes every target of one system at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, index, sub
 
 from . import _snf_py
@@ -194,7 +193,6 @@ def _exact_rows(rows):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def smith_normal_form(mat: IntMatrix):
     """(U, D, V) with U @ mat @ V == D in Smith normal form."""
     u, d, v = _snf_py.smith_normal_form(mat.rows, mat.nrows, mat.ncols)
@@ -204,8 +202,7 @@ def smith_normal_form(mat: IntMatrix):
 def smith_u_diagonal(mat: IntMatrix):
     """(U, diagonal) of the Smith form U @ mat @ V == D, without building V.
 
-    ``diagonal`` holds the min(nrows, ncols) diagonal entries of D.  Nothing
-    is cached: the caller owns the result.
+    ``diagonal`` holds the min(nrows, ncols) diagonal entries of D.
     """
     u, d, _ = _snf_py.smith_normal_form(mat.rows, mat.nrows, mat.ncols, with_v=False)
     return _from_lists(u, mat.nrows), tuple(d[i][i] for i in range(min(mat.nrows, mat.ncols)))
@@ -216,27 +213,29 @@ def _from_lists(rows, ncols):
     return _trusted(tuple(map(tuple, rows)), ncols)
 
 
-def solve(mat, target):
-    """One integer solution x of mat @ x = target, or None.
+def solve(mat, targets):
+    """One integer solution x of mat @ x = t for each target t, or None
+    where there is none, from one Smith form of ``mat``.
 
-    ``target`` is a flat tuple of length ``mat.nrows``.
+    Each target is a flat tuple of length ``mat.nrows``.
     """
     u, d, v = smith_normal_form(mat)
-    w = [sum(a * b for a, b in zip(row, target)) for row in u.rows]
     k = min(mat.nrows, mat.ncols)
-    support = []  # the nonzero entries (j, y_j) of y with D y = w, at most rank many
-    for i in range(mat.nrows):
-        di = d.rows[i][i] if i < k else 0
-        if di == 0:
-            if w[i] != 0:
-                return None
-        else:
-            yi, r = divmod(w[i], di)
+    diagonal = [d.rows[i][i] if i < k else 0 for i in range(mat.nrows)]
+    solutions = []
+    for target in targets:
+        w = [sum(a * b for a, b in zip(row, target)) for row in u.rows]
+        support = []  # the nonzero entries (j, y_j) of y with D y = w, at most rank many
+        for i, (wi, di) in enumerate(zip(w, diagonal)):
+            yi, r = divmod(wi, di) if di else (0, wi)
             if r:
-                return None
+                solutions.append(None)
+                break
             if yi:
                 support.append((i, yi))
-    return tuple(sum(row[j] * yj for j, yj in support) for row in v.rows)
+        else:
+            solutions.append(tuple(sum(row[j] * yj for j, yj in support) for row in v.rows))
+    return solutions
 
 
 def kernel_basis(mat):

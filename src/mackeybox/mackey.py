@@ -216,14 +216,23 @@ class MackeyMap:
         return self.f_top.is_zero() and self.f_bot.is_zero()
 
     def is_isomorphism(self):
-        for f in (self.f_top, self.f_bot):
-            k, _ = hom_kernel(f)
-            if not k.is_zero_group():
-                return False
-            c, _ = hom_cokernel(f)
-            if not c.is_zero_group():
-                return False
-        return True
+        """True when both level maps are isomorphisms, decided without a
+        kernel: f: A -> B is one exactly when A and B have the same invariants
+        and f is onto.  Then f followed by an isomorphism B -> A is a
+        surjective endomorphism of the finitely generated abelian group A, a
+        Noetherian Z-module, so it is injective (A is Hopfian, free rank
+        included), and so is f."""
+        return self.isomorphism_failure() is None
+
+    def isomorphism_failure(self):
+        """None for an isomorphism, else (level, reason) for the first level
+        map that is not one, by the test of ``is_isomorphism``."""
+        for level, f in (("top", self.f_top), ("bottom", self.f_bot)):
+            if f.source.canonical() != f.target.canonical():
+                return level, "invariants differ"
+            if not hom_cokernel(f)[0].is_zero_group():
+                return level, "cokernel is nonzero"
+        return None
 
     def to_json(self):
         return {"f_top": self.f_top.matrix.to_lists(), "f_bot": self.f_bot.matrix.to_lists()}

@@ -26,6 +26,7 @@ from mackeybox.errors import (
     IncompatiblePairing,
     NotAMackeyFunctor,
     NotAModule,
+    NotAnIsomorphism,
     PrimeMismatch,
     SizeLimit,
 )
@@ -49,6 +50,7 @@ from mackeybox.mackey import (
     j_top,
     validate_mackey,
     zero_mackey,
+    zero_map,
 )
 
 F4 = FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]]))
@@ -269,6 +271,35 @@ def test_associativity_via_flat():
         rebracket = invert_iso(to_flat_right).compose(to_flat_left)
         assert rebracket.is_isomorphism()
         assert canonical_levels(outer_left.result) == canonical_levels(outer_right.result)
+
+
+def bottom_only_f2():
+    """Zero at the top and Z/2 with the trivial action at the bottom, where
+    the orbit sum 1 + 1 vanishes."""
+    z, b = zero_group(), cyclic_group(2)
+    return MackeyFunctor(2, z, b, zero_hom(b, z), zero_hom(z, b), identity_hom(b))
+
+
+@pytest.mark.parametrize(
+    "source, target, level, reason",
+    [
+        # (Z/2)^2 at the top cannot be isomorphic to 0
+        (f4_frobenius_green().underlying, zero_mackey(2), "top", "invariants differ"),
+        # 0 -> 0 at the top is one; 0 -> Z/2 at the bottom is not
+        (zero_mackey(2), bottom_only_f2(), "bottom", "invariants differ"),
+        # same invariants on both levels, but the zero map hits nothing
+        (f4_frobenius_green().underlying, f4_frobenius_green().underlying, "top",
+         "cokernel is nonzero"),
+    ],
+    ids=["top-invariants", "bottom-invariants", "top-cokernel"],
+)
+def test_invert_iso_rejects_non_isomorphisms(source, target, level, reason):
+    z = zero_map(source, target)
+    assert not z.is_isomorphism()
+    with pytest.raises(NotAnIsomorphism) as err:
+        invert_iso(z)
+    assert (err.value.level, err.value.reason) == (level, reason)
+    assert f"{level} level: {reason}" in str(err.value)
 
 
 def test_box_power_k1_is_self():

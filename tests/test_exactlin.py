@@ -342,8 +342,8 @@ def test_cokernel_proj_of_map_is_zero():
 def test_solve_membership():
     g = cyclic_group(6)
     gens = IntMatrix([[2]])  # subgroup generated by 2
-    assert solve_membership(g, gens, (4,)) is not None
-    assert solve_membership(g, gens, (3,)) is None
+    assert solve_membership(g, gens, [(4,)])[0] is not None
+    assert solve_membership(g, gens, [(3,)]) == [None]
 
 
 def lattice_invariants(rows):

@@ -107,8 +107,7 @@ def test_matmul_matches_triple_loop(pair):
 
 def test_solve_and_kernel():
     m = IntMatrix([[2, 0], [0, 3]])
-    assert solve(m, (4, 6)) == (2, 2)
-    assert solve(m, (1, 0)) is None
+    assert solve(m, [(4, 6), (1, 0)]) == [(2, 2), None]
     k = kernel_basis(IntMatrix([[1, 1, 1]]))
     assert len(k) == 2
 
@@ -152,9 +151,10 @@ def solve_cases(draw, max_dim=4):
 def test_solve_matches_full_sum(case):
     rows, m, n, reachable, noise = case
     a = IntMatrix(rows, n)
-    assert solve(a, reachable) is not None
-    for target in (reachable, noise):
-        got = solve(a, target)
+    targets = [reachable, noise]
+    solutions = solve(a, targets)
+    assert solutions[0] is not None
+    for target, got in zip(targets, solutions):
         assert got == full_sum_solve(a, target)
         assert got is None or _image(rows, got) == target
 

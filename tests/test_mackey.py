@@ -22,6 +22,8 @@ from mackeybox.exactlin import (
     enumerate_subgroups,
     finite_model,
     free_group,
+    hom_cokernel,
+    hom_kernel,
     identity_hom,
     subgroup_key,
     zero_group,
@@ -501,3 +503,57 @@ def test_homology_shift_invariance():
 def test_zero_map_construction():
     z = zero_map(burnside(2), constant(2, 2))
     assert z.is_zero()
+
+
+def kernel_and_cokernel_rule(m):
+    """The isomorphism test that computes kernels: each level map has zero
+    kernel and zero cokernel."""
+    return all(
+        hom_kernel(f)[0].is_zero_group() and hom_cokernel(f)[0].is_zero_group()
+        for f in (m.f_top, m.f_bot)
+    )
+
+
+@st.composite
+def top_level_maps(draw):
+    """MackeyMap(j_top(p, A), j_top(p, B), f, 0) for presentations A and B on
+    at most three generators, free rank included.  In half the draws B is
+    the image of A under a unimodular u and f is a multiple of u, so A and B
+    have the same invariants and f is onto exactly when the multiple is a
+    unit on A.  In the rest f is any matrix and B holds the images of A's
+    relations and up to two more, so f may miss B or kill part of A."""
+    entries = st.integers(-6, 6)
+    n_a = draw(st.integers(0, 3))
+    rel_a = draw(st.lists(st.lists(entries, min_size=n_a, max_size=n_a), max_size=3))
+    if draw(st.booleans()):
+        n_b, extra = n_a, []
+        u = [[int(i == j) for j in range(n_a)] for i in range(n_a)]
+        index = st.integers(0, max(n_a - 1, 0))
+        for i, j, k in draw(st.lists(st.tuples(index, index, entries), max_size=4)):
+            if i != j:  # add k times row j to row i
+                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+        k = draw(st.sampled_from([1, -1, 2, 3]))
+        f = [[k * x for x in row] for row in u]
+    else:
+        n_b = draw(st.integers(0, 3))
+        row = st.lists(st.integers(-3, 3), min_size=n_a, max_size=n_a)
+        u = f = draw(st.lists(row, min_size=n_b, max_size=n_b))
+        extra = draw(st.lists(st.lists(entries, min_size=n_b, max_size=n_b), max_size=2))
+    images = [[sum(x * y for x, y in zip(ui, r)) for ui in u] for r in rel_a]
+    a = FGAbPresentation(n_a, IntMatrix(rel_a, n_a))
+    b = FGAbPresentation(n_b, IntMatrix(images + extra, n_b))
+    zero = zero_hom(zero_group(), zero_group())
+    p = draw(st.sampled_from([2, 3]))
+    return MackeyMap(j_top(p, a), j_top(p, b), AbHom(a, b, IntMatrix(f, n_a)), zero)
+
+
+@given(top_level_maps())
+@example(MackeyMap(j_top(2, cyclic_group(5)), j_top(2, cyclic_group(5)),
+                   AbHom(cyclic_group(5), cyclic_group(5), IntMatrix([[2]])),
+                   zero_hom(zero_group(), zero_group())))  # onto, not unimodular
+@example(MackeyMap(j_top(2, free_group(1)), j_top(2, free_group(1)),
+                   AbHom(free_group(1), free_group(1), IntMatrix([[2]])),
+                   zero_hom(zero_group(), zero_group())))  # injective, not onto
+@settings(max_examples=200, deadline=None)
+def test_is_isomorphism_matches_kernel_and_cokernel_rule(m):
+    assert m.is_isomorphism() == kernel_and_cokernel_rule(m)

@@ -545,8 +545,8 @@ def flat_to_nested(outer, inner, side, flat):
 def assert_label_maps_are_maps(g, data):
     """Every label map commutes with transfer, restriction and the action,
     though none of them checked it; the unitor is an isomorphism, both
-    ``nested_to_flat`` maps are inverse to ``flat_to_nested``, and the swap
-    squares to the identity."""
+    ``nested_to_flat`` maps are isomorphisms inverse to ``flat_to_nested``,
+    and the swap squares to the identity."""
     maps = label_maps(g, data)
     for f in maps:
         assert f.compatibility_failures() == []
@@ -554,6 +554,7 @@ def assert_label_maps_are_maps(g, data):
     m = g.underlying
     inner, flat = box_power(m, 2), box_power(m, 3)
     for side, f in zip(("left", "right"), maps[-2:]):
+        assert f.is_isomorphism()
         back = flat_to_nested(nested(m, inner, side), inner, side, flat)
         assert back.compose(f).equals(identity_map(f.source))
         assert f.compose(back).equals(identity_map(f.target))
