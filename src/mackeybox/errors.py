@@ -77,6 +77,10 @@ class WindowOverflow(MackeyboxError):
     pass
 
 
+class EmptyWindow(MackeyboxError, ValueError):
+    """A window holds no nonzero piece of the tower it was asked about."""
+
+
 class InsufficientTruncation(MackeyboxError):
     pass
 

@@ -564,14 +564,22 @@ def _lattice(model: FiniteModel, orbits):
     With one-element orbits this is the subgroup lattice, since every
     subgroup is a sum of cyclic subgroups.  With the orbits x, g(x),
     g(g(x)), ... of an endomorphism g it is the lattice of g-stable
-    subgroups, since each is a sum of cyclic submodules.  The lattice grows
-    from {0} by joining each orbit's span onto each newly found set.
-    Joining S + <x> walks the cosets S + x, S + 2x, ... through a
+    subgroups, since each is a sum of cyclic submodules.
+
+    The distinct spans are numbered as atoms A_0, A_1, ...  Each set S has
+    one canonical sequence: A_i1 with i1 the least atom in S, then A_i2
+    with i2 the least atom in S not in A_i1, and so on, with rising indices
+    (canonical augmentation: McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998).  The walk joins S + A_i only for i above the
+    last index of S's sequence, and drops the join as soon as an atom below
+    i turns up in it but not in S, so each set is built exactly once, from
+    the prefix of its sequence.  Every set is a sum of stable spans, so it
+    contains an atom exactly when it contains the atom's first orbit element.
+    Joining S + A_i walks the cosets S + x, S + 2x, ... through a
     translation table e -> e + x until one falls back into the join, so it
-    costs one lookup per element of the result.  Positions name elements
-    uniquely, so a frozenset of positions names its subgroup and
-    deduplicates by itself.  Each set keeps the generators it was joined
-    from, and its Hermite key, computed from those few, serves only to sort.
+    costs one lookup per element of the result.  The Hermite key of a join
+    is the Hermite row basis of S's key, which spans S plus the relations,
+    and of the generators that were not yet in S; it serves only to sort.
     """
     elements, index, add = model.elements, model.index, model.add
     origin = index[model.zero()]
@@ -588,40 +596,56 @@ def _lattice(model: FiniteModel, orbits):
                     span.add(y)
                     todo.append(y)
         atoms.setdefault(frozenset(span), orbit)
+    atoms = list(atoms.values())
+    rank = [len(atoms)] * len(elements)  # position -> index of the atom it is first of
+    for i, orbit in enumerate(atoms):
+        rank[orbit[0]] = i
     tables = {}
+    lifts = {}
 
-    def join(s, gens):
-        """(S + span(gens), the generators that were not yet in it)."""
-        joined = set(s)
+    def join(s, i):
+        """(S + A_i, the lifts of the generators that were not yet in S),
+        or None as soon as the join meets the first element of an atom
+        below i: the join is then built from its canonical parent."""
+        joined = s  # copied on its first new coset
         used = []
-        for x in gens:
+        for x in atoms[i]:
             if x in joined:
                 continue
             table = tables.get(x)
             if table is None:
                 table = tables[x] = [index[add(e, elements[x])] for e in elements]
-            used.append(x)
-            coset = list(joined)
-            while table[coset[0]] not in joined:
+                lifts[x] = model.from_canonical(elements[x])
+            used.append(lifts[x])
+            coset = joined
+            while True:
                 coset = [table[e] for e in coset]
+                if coset[0] in joined:
+                    break
+                if min(map(rank.__getitem__, coset)) < i:
+                    return None
+                if joined is s:
+                    joined = set(s)
                 joined.update(coset)
         return frozenset(joined), used
 
+    n = model.pres.num_generators
     zero = frozenset([origin])
-    found = {zero: []}
-    frontier = [zero]
+    keys = {zero: hermite_row_basis(model.pres.relations.rows, n)}
+    frontier = [(zero, -1)]  # (set, last index of its canonical sequence)
     while frontier:
         grown = []
-        for s in frontier:
-            for gens in atoms.values():
-                if all(x in s for x in gens):
+        for s, last in frontier:
+            for i in range(last + 1, len(atoms)):
+                if atoms[i][0] in s:
                     continue
-                joined, used = join(s, gens)
-                if joined not in found:
-                    found[joined] = found[s] + used
-                    grown.append(joined)
+                found = join(s, i)
+                if found is not None:
+                    joined, used = found
+                    keys[joined] = hermite_row_basis(keys[s] + tuple(used), n)
+                    grown.append((joined, i))
         frontier = grown
-    return sorted(found, key=lambda s: subgroup_key(model, [elements[x] for x in found[s]]))
+    return sorted(keys, key=keys.get)
 
 
 def enumerate_subgroups(model: FiniteModel):

@@ -14,7 +14,7 @@ from itertools import product as iproduct
 from operator import add
 
 from .boxtensor import box
-from .errors import InfiniteGroup, UnclassifiedField, WindowOverflow
+from .errors import EmptyWindow, InfiniteGroup, UnclassifiedField, WindowOverflow
 from .green import (
     FieldShape,
     GreenFunctor,
@@ -30,6 +30,7 @@ from .mackey import (
     enumerate_subfunctors,
     j_bottom,
     mackey_direct_sum,
+    require_prime,
     zero_mackey,
 )
 
@@ -105,9 +106,18 @@ def rotating_sign(alpha: RODegree, beta: RODegree):
 
 @dataclass(frozen=True)
 class BoxWindow:
+    """The degrees over C_prime with |a| <= a_bound and every |m_i| <= m_bound."""
+
     prime: int
     a_bound: int
     m_bound: int
+
+    def __post_init__(self):
+        require_prime(self.prime)
+        for name in ("a_bound", "m_bound"):
+            bound = getattr(self, name)
+            if not isinstance(bound, int) or bound < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
 
     def degrees(self):
         k = 1 if self.prime == 2 else (self.prime - 1) // 2
@@ -234,7 +244,8 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     A piece with infinite level falls back to a deterministic
     generated-ideal probe (transfers of generators first); the probe can
     only produce witnesses, never a certificate.  A window over another
-    prime than the tower's raises ``PrimeMismatch``.
+    prime than the tower's raises ``PrimeMismatch``, and one that holds no
+    nonzero piece of the tower raises ``EmptyWindow``.
     """
     _same_prime(tower.prime, window.prime)
     # the tower's pieces in the window, in the order of ``window.degrees()``
@@ -243,7 +254,7 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
         key=lambda d: (d.a, d.m),
     )
     if not degrees:
-        raise ValueError("tower has no nonzero pieces in the window")
+        raise EmptyWindow(f"tower has no nonzero pieces in the window {window!r}")
     infinite = [d for d in degrees if not tower.pieces[d].levels_finite()]
     if infinite:
         return _witness_probe(tower, degrees)

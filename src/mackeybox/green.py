@@ -31,10 +31,8 @@ from .exactlin import (
     cyclic_group,
     finite_model,
     first_nonzero_column,
-    hom_kernel,
     identity_hom,
     quotient_by_subgroup,
-    solve_membership,
     span_key,
     vector_tensor,
 )
@@ -46,13 +44,13 @@ from .mackey import (
     ValidationCheck,
     ValidationReport,
     _closure,
+    _fixed_points,
     _hom_eq_check,
     _image_table,
     _map_tables,
     burnside,
     constant,
     enumerate_subfunctors,
-    j_bottom,
     j_top,
     validate_mackey,
 )
@@ -252,13 +250,14 @@ def fixed_point_green(p, v: FGAbPresentation, gamma: AbHom, bot_mult: IntMatrix,
 
     ``bot_mult`` is the multiplication on v in generator coordinates and
     ``one_bot_vec`` its unit; the fixed-level multiplication is derived by
-    corestriction.
+    corestriction.  The underlying functor is ``j_bottom(p, v, gamma)``, and
+    the fixed products and the unit are solved with its transfer, from one
+    Smith form.
     """
-    m = j_bottom(p, v, gamma)
-    incl = m.res  # inclusion of the fixed subgroup
-    fixed = incl.matrix.columns()
-    products = [_bilinear_vec(bot_mult, x, y) for x in fixed for y in fixed]
-    *top_cols, one_top = solve_membership(v, incl.matrix, products + [one_bot_vec])
+    def products_and_unit(fixed):
+        return [_bilinear_vec(bot_mult, x, y) for x in fixed for y in fixed] + [one_bot_vec]
+
+    m, (*top_cols, one_top) = _fixed_points(p, v, gamma, products_and_unit)
     if None in top_cols:
         raise NotAModule("fixed level is not closed under multiplication")
     if one_top is None:
@@ -556,7 +555,14 @@ def _additive_exponent(pres):
 
 
 def classify_field_shape(g: GreenFunctor) -> FieldShape:
-    """Match a verified Mackey field against the two normal forms."""
+    """Match a verified Mackey field against the two normal forms.
+
+    The levels must be finite (``InfiniteGroup`` otherwise).  The fixed-point
+    form is read from the level tables of ``mackey._map_tables``: restriction
+    is injective when its table has as many distinct entries as the top has
+    elements, and its image is the fixed subgroup when those entries are
+    the positions that the Weyl table fixes.
+    """
     m = g.underlying
     if m.bottom.is_zero_group():
         if not top_level_is_field(g):
@@ -569,13 +575,15 @@ def classify_field_shape(g: GreenFunctor) -> FieldShape:
             identity_hom(m.top),
             _additive_exponent(m.top),
         )
-    # fixed-point shape: res injective onto the fixed subgroup, orbit-sum transfer
-    k, _ = hom_kernel(m.res)
-    if not k.is_zero_group():
+    # fixed-point shape: res injective onto the fixed subgroup, orbit-sum
+    # transfer, decided on the level tables
+    if not m.levels_finite():
+        raise InfiniteGroup("shape classification requires finite levels")
+    top, _, res, _, weyl = _map_tables(m)
+    image = set(res)
+    if len(image) != len(top.elements):
         raise UnclassifiableShape("restriction is not injective")
-    fixed, fixed_incl = hom_kernel(m.weyl - identity_hom(m.bottom))
-    image = span_key(m.bottom, m.res.matrix.columns())
-    if image != span_key(m.bottom, fixed_incl.matrix.columns()):
+    if image != {x for x, y in enumerate(weyl) if x == y}:
         raise UnclassifiableShape("restriction image differs from the fixed subgroup")
     if m.tr.is_zero():
         raise UnclassifiableShape("fixed-point shape requires a nonzero transfer")

@@ -283,34 +283,58 @@ def hermite_row_basis(rows, ncols):
     """Canonical (Hermite-style) row basis of the subgroup spanned by ``rows``.
 
     Used as a deterministic key for subgroups of Z^n; two generating sets of
-    the same subgroup produce identical output.
+    the same subgroup produce identical output.  Each row is inserted into an
+    echelon basis keyed by pivot column: a row whose leading column already
+    has a basis row is merged with it by the extended gcd, a unimodular
+    change of the two rows, and what is left over, zero in that column, is
+    inserted further on.  The row Hermite normal form of a lattice is unique,
+    so a basis that is already one, extended by a few rows, is cheap to key.
     """
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    basis = []
-    for col in range(ncols):
-        while True:
-            pivots = [i for i, r in enumerate(work) if r[col] != 0]
-            if len(pivots) <= 1:
+    echelon = {}  # pivot column -> basis row with its leading entry there
+    for row in rows:
+        col = 0
+        for x in row:
+            if x:
                 break
-            pivots.sort(key=lambda i: abs(work[i][col]))
-            p = work[pivots[0]]
-            for i in pivots[1:]:
-                q = work[i][col] // p[col]
-                work[i] = [x - q * y for x, y in zip(work[i], p)]
-            work = [r for r in work if any(x != 0 for x in r)]
-        pivots = [i for i, r in enumerate(work) if r[col] != 0]
-        if pivots:
-            p = work.pop(pivots[0])
-            if p[col] < 0:
-                p = [-x for x in p]
-            basis.append(p)
+            col += 1
+        else:
+            continue  # a zero row
+        row = list(row)
+        while col < ncols:
+            prow = echelon.get(col)
+            if prow is None:
+                echelon[col] = row
+                break
+            a, b = prow[col], row[col]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                echelon[col] = [s * x + t * y for x, y in zip(prow, row)]
+                row = [b * x - a * y for x, y in zip(prow, row)]
+            else:
+                q = b // a
+                row = [y - q * x for x, y in zip(prow, row)]
+            col += 1
+            while col < ncols and not row[col]:
+                col += 1
+    pivots = sorted(echelon)
+    basis = [echelon[c] if echelon[c][c] > 0 else [-x for x in echelon[c]] for c in pivots]
     # reduce entries above each pivot, left to right: row i changes only
     # columns from its pivot on, which later pivots reduce afterwards, so
     # every entry above a pivot ends as its canonical residue
-    for i in range(len(basis)):
-        pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
+    for i, pcol in enumerate(pivots):
         for k in range(i):
             q = basis[k][pcol] // basis[i][pcol]
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
     return tuple(tuple(r) for r in basis)
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = s * a + t * b = gcd(a, b) > 0, for a, b not both 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, t0, s1, t1 = s1, t1, s0 - q * s1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)

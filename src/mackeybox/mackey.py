@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (InfiniteGroup, LevelMismatch, NotAComplex, NotAMackeyMap, NotAnAction,
-                     NotPrime, PrimeMismatch)
+from .errors import (IllFormedHom, InfiniteGroup, LevelMismatch, NotAComplex, NotAMackeyMap,
+                     NotAnAction, NotPrime, PrimeMismatch)
 from .exactlin import (
     AbHom,
     FGAbPresentation,
-    _apply,
     _lattice,
     _same_ends,
     _unchecked,
@@ -30,6 +29,7 @@ from .exactlin import (
     hom_cokernel,
     hom_kernel,
     identity_hom,
+    solve_membership,
     subgroup_presentation,
     zero_group,
     zero_hom,
@@ -88,6 +88,18 @@ class MackeyFunctor:
             _hom_eq_check("tr_weyl_is_tr", top, tr @ weyl, tr),
             _hom_eq_check("weyl_res_is_res", bottom, weyl @ res, res),
         ))
+
+    @cached_property
+    def _tables(self):
+        """(top model, bottom model, res, tr, weyl): the finite models of
+        the levels and the level maps as ``_image_table``s, built on first
+        use and kept like ``_axioms``."""
+        tm = finite_model(self.top)
+        bm = finite_model(self.bottom)
+        res = _image_table(self.res.matrix, tm, bm)
+        tr = _image_table(self.tr.matrix, bm, tm)
+        weyl = _image_table(self.weyl.matrix, bm, bm)
+        return tm, bm, res, tr, weyl
 
     def is_zero(self):
         return self.top.is_zero_group() and self.bottom.is_zero_group()
@@ -298,14 +310,28 @@ def j_bottom(p, v: FGAbPresentation, gamma: AbHom) -> MackeyFunctor:
     Top level is the fixed subgroup, res the inclusion, tr the orbit sum
     corestricted to the fixed subgroup.
     """
+    return _fixed_points(p, v, gamma, lambda fixed: [])[0]
+
+
+def _fixed_points(p, v: FGAbPresentation, gamma: AbHom, extra):
+    """(``j_bottom(p, v, gamma)``, coefficients): the functor, and each
+    vector of the list ``extra(fixed)`` written in the fixed generators, or
+    None where it is not fixed; ``fixed`` are the fixed generators as
+    vectors of v.  One Smith form of [inclusion | relations] solves the transfer and
+    these vectors together."""
     require_prime(p)
     if gamma.source != v or gamma.target != v:
         raise NotAnAction("action endomorphism must live on v")
     if not gamma.power(p).equals(identity_hom(v)):
         raise NotAnAction(f"gamma^{p} is not the identity")
     fixed, incl = hom_kernel(gamma - identity_hom(v))
-    tr = factor_through_injection(AbHom(v, v, orbit_sum(gamma.matrix, p)), incl)
-    return MackeyFunctor(p, fixed, v, tr, incl, gamma)
+    orbit_sums = orbit_sum(gamma.matrix, p).columns()
+    solutions = solve_membership(v, incl.matrix, orbit_sums + extra(incl.matrix.columns()))
+    tr_cols = solutions[: len(orbit_sums)]
+    if None in tr_cols:
+        raise IllFormedHom("map does not factor through the inclusion")
+    tr = AbHom(v, fixed, IntMatrix.from_columns(tr_cols, fixed.num_generators))
+    return MackeyFunctor(p, fixed, v, tr, incl, gamma), solutions[len(orbit_sums):]
 
 
 def mackey_direct_sum(a: MackeyFunctor, b: MackeyFunctor):
@@ -387,24 +413,31 @@ class Subfunctor:
 
 def _image_table(matrix: IntMatrix, model, target_model):
     """Position in ``target_model`` of ``matrix @ x`` for each element x of
-    ``model``, by position: one product per element, with the matrix taken
-    from canonical coordinates to the target's decomposition coordinates."""
-    index, moduli = target_model.index, target_model.moduli
+    ``model``, by position.  The map is a homomorphism, so the table is
+    built from the images of the cyclic generators of ``model``, with the
+    matrix taken from canonical coordinates to the target's decomposition
+    coordinates: the elements come in the product order of
+    ``model.elements``, and each costs one addition."""
+    index, moduli, add = target_model.index, target_model.moduli, target_model.add
     canonical = target_model.u @ matrix @ model.u_inv
-    return [
-        index[tuple(x % d for x, d in zip(_apply(canonical, c), moduli))] for c in model.elements
-    ]
+    images = [target_model.zero()]
+    for k, d in enumerate(model.moduli):
+        if d == 1:
+            continue
+        step = tuple(x % m for x, m in zip(canonical.column(k), moduli))
+        grown = []
+        for y in images:
+            for _ in range(d):
+                grown.append(y)
+                y = add(y, step)
+        images = grown
+    return [index[y] for y in images]
 
 
 def _map_tables(m: MackeyFunctor):
-    """(top model, bottom model, res, tr, weyl): the finite models of the
-    levels of ``m`` and its level maps as ``_image_table``s."""
-    tm = finite_model(m.top)
-    bm = finite_model(m.bottom)
-    res = _image_table(m.res.matrix, tm, bm)
-    tr = _image_table(m.tr.matrix, bm, tm)
-    weyl = _image_table(m.weyl.matrix, bm, bm)
-    return tm, bm, res, tr, weyl
+    """(top model, bottom model, res, tr, weyl) of ``m``, tabulated once per
+    functor (``MackeyFunctor._tables``)."""
+    return m._tables
 
 
 def _closure(models, res, tr, weyl, products, seed, complete=(frozenset(), frozenset())):

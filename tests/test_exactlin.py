@@ -596,12 +596,76 @@ def gaussian_binomial(n, k, p):
     return num // den
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (5, 2), (3, 4)]
+)
 def test_elementary_abelian_subgroup_count(p, n):
-    # subgroups of (Z/p)^n are the F_p-subspaces: sum over k of [n choose k]_p
+    # subgroups of (Z/p)^n are the F_p-subspaces: sum over k of [n choose k]_p,
+    # 374 for (Z/2)^5, 2,825 for (Z/2)^6 and 212 for (Z/3)^4
     expected = sum(gaussian_binomial(n, k, p) for k in range(n + 1))
     m = finite_model(FGAbPresentation(n, IntMatrix.identity(n).scale(p)))
     assert len(enumerate_subgroups(m)) == expected
+
+
+def reference_subgroups(model):
+    """The earlier lattice walk, as a reference for the order of
+    ``enumerate_subgroups``: join every cyclic subgroup onto every newly
+    found set, deduplicate by set, then sort by the Hermite key of the
+    generators each set was joined from."""
+    elements, index, add = model.elements, model.index, model.add
+    origin = index[model.zero()]
+    atoms = {}
+    for x in range(len(elements)):
+        span, todo = {origin}, [origin]
+        while todo:
+            e = elements[todo.pop()]
+            y = index[add(e, elements[x])]
+            if y not in span:
+                span.add(y)
+                todo.append(y)
+        atoms.setdefault(frozenset(span), x)
+    zero = frozenset([origin])
+    found = {zero: []}
+    frontier = [zero]
+    while frontier:
+        grown = []
+        for s in frontier:
+            for x in atoms.values():
+                if x in s:
+                    continue
+                joined = set(s)
+                coset = list(s)
+                while True:
+                    coset = [index[add(elements[e], elements[x])] for e in coset]
+                    if coset[0] in joined:
+                        break
+                    joined.update(coset)
+                joined = frozenset(joined)
+                if joined not in found:
+                    found[joined] = found[s] + [x]
+                    grown.append(joined)
+        frontier = grown
+    ordered = sorted(found, key=lambda s: subgroup_key(model, [elements[x] for x in found[s]]))
+    return [frozenset(elements[x] for x in s) for s in ordered]
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+        [[4, 0], [0, 2]],
+        [[8, 0, 0], [0, 2, 0], [0, 0, 2]],
+        [[3, 0, 0], [0, 3, 0], [0, 0, 3]],
+        [[9, 0], [0, 3]],
+        [[6, 2], [2, 4]],
+        [[2, 1, 0], [0, 2, 1], [1, 0, 2]],
+    ],
+    ids=["Z2^4", "Z4+Z2", "Z8+Z2^2", "Z3^3", "Z9+Z3", "6-2-2-4", "circulant-2-1-0"],
+)
+def test_enumerate_subgroups_matches_reference_walk(relations):
+    n = len(relations)
+    model = finite_model(FGAbPresentation(n, IntMatrix(relations)))
+    assert enumerate_subgroups(model) == reference_subgroups(model)
 
 
 @pytest.mark.parametrize("a, b, count", [(2, 4, 8), (4, 4, 15)])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mackeybox import grading
-from mackeybox.errors import PrimeMismatch, UnclassifiedField, WindowOverflow
+from mackeybox.errors import EmptyWindow, NotPrime, PrimeMismatch, UnclassifiedField, WindowOverflow
 from mackeybox.grading import (
     BoxWindow,
     GradedGreenTower,
@@ -200,6 +200,24 @@ def test_window_over_another_prime_raises_prime_mismatch():
     tower = em_tower(classify_field_shape(field_top_green(2, 2)), BoxWindow(2, 1, 1))
     with pytest.raises(PrimeMismatch, match="C_2 and C_3"):
         graded_field_window_check(tower, BoxWindow(3, 1, 1))
+
+
+def test_box_window_requires_a_prime():
+    with pytest.raises(NotPrime, match="4 is not prime"):
+        BoxWindow(4, 1, 1)
+
+
+@pytest.mark.parametrize("a_bound, m_bound", [(1, -1), (-1, 0), (1.5, 1), (1, "2")])
+def test_box_window_requires_nonnegative_integer_bounds(a_bound, m_bound):
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        BoxWindow(2, a_bound, m_bound)
+
+
+def test_window_without_pieces_raises_empty_window():
+    # every piece lies at fixed dimension 3, outside |a| <= 1
+    tower = laurent_f2_tower([deg2(3, 0)])
+    with pytest.raises(EmptyWindow, match=r"BoxWindow\(prime=2, a_bound=1, m_bound=1\)"):
+        graded_field_window_check(tower, BoxWindow(2, 1, 1))
 
 
 def test_graded_box_out_window_over_another_prime_raises_prime_mismatch():

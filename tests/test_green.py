@@ -20,7 +20,13 @@ from mackeybox.boxtensor import (
     swap_map,
     unitor,
 )
-from mackeybox.errors import IncompatiblePairing, InfiniteGroup, NotAModule, ZeroFunctor
+from mackeybox.errors import (
+    IncompatiblePairing,
+    InfiniteGroup,
+    NotAModule,
+    UnclassifiableShape,
+    ZeroFunctor,
+)
 from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
@@ -362,6 +368,7 @@ def test_large_galois_fields_are_decided_without_subfunctor_walk(monkeypatch, n,
     monkeypatch.setattr(green, "enumerate_subfunctors", walk)
     assert g.underlying.top.canonical() == (0, (2,) * k)
     assert is_mackey_field(g).to_json() == {"verdict": "Field"}
+    assert classify_field_shape(g).kind == "fixed_point"
 
 
 def test_closure_of_units_in_constant_f2():
@@ -511,6 +518,63 @@ def test_classify_constant_f3():
         AbHom(shape.ring_presentation, shape.ring_presentation, IntMatrix([[1]]))
     )
     assert not shape.field.underlying.tr.is_zero()
+
+
+def burnside_mod2_green():
+    """The Burnside Green functor mod 2: top (Z/2)^2 on the fixed and free
+    orbit classes, bottom Z/2, res(y, z) = y + 2z = y.  Restriction kills
+    the free orbit class."""
+    top, bottom = FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]])), cyclic_group(2)
+    m = MackeyFunctor(
+        2, top, bottom,
+        AbHom(bottom, top, IntMatrix([[0], [1]])),
+        AbHom(top, bottom, IntMatrix([[1, 2]])),
+        identity_hom(bottom),
+    )
+    cols = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (0, 2)}
+    top_mult = IntMatrix.from_columns([cols[(i, j)] for i in range(2) for j in range(2)], 2)
+    return green_from_mult(m, (1, 0), top_mult, IntMatrix([[1]]))
+
+
+def diagonal_f2_green():
+    """F_2 at the top restricting diagonally into F_2 x F_2 below, with the
+    trivial action and zero transfer: restriction is injective, but its
+    image {0, (1, 1)} is not the fixed subgroup, which is everything."""
+    top, bottom = cyclic_group(2), FGAbPresentation(2, IntMatrix([[2, 0], [0, 2]]))
+    m = MackeyFunctor(
+        2, top, bottom,
+        AbHom(bottom, top, IntMatrix([[0, 0]])),
+        AbHom(top, bottom, IntMatrix([[1], [1]])),
+        identity_hom(bottom),
+    )
+    cols = {(0, 0): (1, 0), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (0, 1)}
+    bot_mult = IntMatrix.from_columns([cols[(i, j)] for i in range(2) for j in range(2)], 2)
+    return green_from_mult(m, (1,), IntMatrix([[1]]), bot_mult)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: field_top_green(2, 4), "bottom level vanishes but the top is not a field"),
+        (burnside_mod2_green, "restriction is not injective"),
+        (diagonal_f2_green, "restriction image differs from the fixed subgroup"),
+        (lambda: constant_green(2, 2), "fixed-point shape requires a nonzero transfer"),
+        (lambda: constant_green(2, 4), "fixed subring is not a field"),
+    ],
+    ids=["concentrated-Z4", "burnside-mod-2", "diagonal-F2", "constant-F2", "constant-Z4"],
+)
+def test_classify_rejects_each_shape_failure(make, message):
+    g = make()
+    assert validate_green(g).passed
+    with pytest.raises(UnclassifiableShape, match=message):
+        classify_field_shape(g)
+
+
+def test_classify_requires_finite_levels():
+    # restriction Z^2 -> Z is not injective either, but the levels are
+    # checked first
+    with pytest.raises(InfiniteGroup):
+        classify_field_shape(burnside_green(2))
 
 
 def test_classify_f4_frobenius():

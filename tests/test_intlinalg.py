@@ -201,6 +201,60 @@ def test_hermite_key_is_the_hermite_normal_form(drawn, moves):
     assert hermite_row_basis(other + [list(r) for r in key], n) == key
 
 
+def reference_hermite_row_basis(rows, ncols):
+    """The earlier column-by-column Hermite key: per column, Euclid between
+    all rows with a nonzero entry there, then the same reduction above the
+    pivots.  A reference for the insertion routine only."""
+    work = [list(r) for r in rows if any(x != 0 for x in r)]
+    basis = []
+    for col in range(ncols):
+        while True:
+            pivots = [i for i, r in enumerate(work) if r[col] != 0]
+            if len(pivots) <= 1:
+                break
+            pivots.sort(key=lambda i: abs(work[i][col]))
+            p = work[pivots[0]]
+            for i in pivots[1:]:
+                q = work[i][col] // p[col]
+                work[i] = [x - q * y for x, y in zip(work[i], p)]
+            work = [r for r in work if any(x != 0 for x in r)]
+        pivots = [i for i, r in enumerate(work) if r[col] != 0]
+        if pivots:
+            p = work.pop(pivots[0])
+            if p[col] < 0:
+                p = [-x for x in p]
+            basis.append(p)
+    for i in range(len(basis)):
+        pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
+        for k in range(i):
+            q = basis[k][pcol] // basis[i][pcol]
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
+    return tuple(tuple(r) for r in basis)
+
+
+@st.composite
+def key_inputs(draw):
+    """Rows for a Hermite key: 0 to 6 columns, 0 to 8 rows (so often more
+    rows than columns), entries -6..6, with zero rows mixed in."""
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * n)), max_size=8))
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_inputs())
+@example(([], 0))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[-4, 6], [6, -9], [0, 0], [-2, 3]], 2))
+@example(([[0, 3, -2], [0, -5, 4], [0, 7, 1], [0, 0, -6], [0, 2, 2]], 3))
+def test_hermite_key_matches_reference(drawn):
+    rows, n = drawn
+    assert hermite_row_basis(rows, n) == reference_hermite_row_basis(rows, n)
+
+
 def test_kron_index_convention():
     a = IntMatrix([[1, 2]])
     b = IntMatrix([[3], [4]])
