@@ -95,7 +95,7 @@ class NotSimplicial(MackeyboxError, ValueError):
 
 class FactorMismatch(MackeyboxError, ValueError):
     """A map out of a box product given products whose factors or slots do
-    not fit its data."""
+    not fit its data, or a graded tower's pairing that does not fit its pieces."""
 
 
 class NotEquivariant(MackeyboxError):

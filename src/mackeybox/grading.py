@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import add
 
 from .boxtensor import box
-from .errors import EmptyWindow, InfiniteGroup, UnclassifiedField, WindowOverflow
+from .errors import (EmptyWindow, FactorMismatch, InfiniteGroup, UnclassifiedField,
+                     WindowOverflow)
 from .green import (
     FieldShape,
     GreenFunctor,
@@ -26,6 +26,7 @@ from .green import (
 from .intlinalg import IntMatrix
 from .mackey import (
     MackeyFunctor,
+    _every_element_generates,
     _same_prime,
     enumerate_subfunctors,
     j_bottom,
@@ -229,23 +230,24 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
 
     Exact when all pieces are finite.  A graded ideal picks one subfunctor
     per degree, and for every in-window pair d1 + d2 = s the ring piece at
-    d1 times the pick at d2 lies in the pick at s.  Each pair's products
-    become verdict tables once, and every atom (a minimal nonzero subfunctor
-    at one degree) is closed to the least graded ideal containing it,
-    stopping at atoms already known to generate everything.  No proper
-    nonzero ideal exists exactly when each of these is all-full.
-    Otherwise the witness is the first combination, in the order of
-    ``itertools.product`` over the lattices of ``enumerate_subfunctors``,
-    that is a graded ideal and neither all-zero nor all-full; an ordered
-    search with forward checking finds it, and raises ``WindowOverflow``
-    beyond ``MAX_GRADED_COMBINATIONS`` nodes (README, "Subfunctors and
-    ideals").
+    d1 times the pick at d2 lies in the pick at s.  A proper nonzero one
+    exists exactly when some nonzero element generates a proper one, so
+    one ``mackey._closure`` per element decides it, on the graph of
+    ``_window_graph`` (``_every_element_generates``).  Only then are
+    subfunctor lattices built: the witness is the first combination, in
+    the order of ``itertools.product`` over the lattices of
+    ``enumerate_subfunctors``, that is a graded ideal and neither all-zero
+    nor all-full; an ordered search with forward checking finds it, and
+    raises ``WindowOverflow`` beyond ``MAX_GRADED_COMBINATIONS`` nodes
+    (README, "Subfunctors and ideals").
 
     A piece with infinite level falls back to a deterministic
     generated-ideal probe (transfers of generators first); the probe can
-    only produce witnesses, never a certificate.  A window over another
-    prime than the tower's raises ``PrimeMismatch``, and one that holds no
-    nonzero piece of the tower raises ``EmptyWindow``.
+    only produce witnesses, never a certificate.  A window or a piece over
+    another prime than the tower's raises ``PrimeMismatch``, a window that
+    holds no nonzero piece of the tower raises ``EmptyWindow``, and a
+    pairing that is missing or does not fit its pieces raises
+    ``FactorMismatch``.
     """
     _same_prime(tower.prime, window.prime)
     # the tower's pieces in the window, in the order of ``window.degrees()``
@@ -255,15 +257,17 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     )
     if not degrees:
         raise EmptyWindow(f"tower has no nonzero pieces in the window {window!r}")
-    infinite = [d for d in degrees if not tower.pieces[d].levels_finite()]
-    if infinite:
+    pieces = [tower.pieces[d] for d in degrees]
+    for piece in pieces:
+        _same_prime(tower.prime, piece.prime)
+    if not all(piece.levels_finite() for piece in pieces):
         return _witness_probe(tower, degrees)
 
-    lattices = _WindowLattices(tower, degrees)
-    combo = None if lattices.atoms_generate_everything() else lattices.first_witness()
-    if combo is None:
+    by_source = _window_pairs(tower, degrees)
+    if _every_element_generates(*_window_graph(pieces, by_source)):
         return PartialCertificate(True, "no_graded_ideal_in_window", None)
-    choice = [subs[i] for subs, i in zip(lattices.subs, combo)]
+    lattices = _WindowLattices(pieces, by_source)
+    choice = [subs[i] for subs, i in zip(lattices.subs, lattices.first_witness())]
     witness = {
         d.key(): {
             "top": sorted(list(c) for c in sub.top_elements),
@@ -274,107 +278,112 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     return PartialCertificate(True, "witness", witness)
 
 
-class _WindowLattices:
-    """The subfunctor lattices of a finite tower's pieces at ``degrees`` and
-    the verdict tables of its in-window products.
+def _window_pairs(tower, degrees):
+    """The in-window products of a finite tower by source: for position t
+    of ``degrees``, a list of (u, tables), one per pair d1 + d2 = s with d2
+    at t and s at u, in the order of d1.  ``tables`` are the pairing's (top,
+    bottom) ``_product_tables``: per generator of the ring piece at d1, its
+    left product from the piece at d2 to the piece at s.
 
-    Degree t (its position in ``degrees``) has the subfunctors ``subs[t]``
-    of ``enumerate_subfunctors``; a combination is a tuple of one index per
-    degree.  ``by_source[t]`` holds a verdict (u, allowed) for each pair
-    d1 + d2 = s with d2 at t and s at u: the ring piece at d1 times
-    subfunctor i at d2 lies in subfunctor k at s exactly when k is in
+    Towers repeat one piece and one pairing in many degrees (``em_tower``
+    does), so each distinct (pairing, ring, piece, target), found by
+    identity, is checked (``_check_pairing``) and tabulated once; hashing
+    the frozen dataclasses would cost more than the sharing saves.  The
+    tower holds every object, so no id is reused during the check.
+    """
+    pieces = [tower.pieces[d] for d in degrees]
+    # Each degree is coded as one integer, its coordinates (a, m_1, ...) the
+    # digits in base 4r + 1, r the largest |coordinate|.  Codes add like
+    # degrees, and digits in [-2r, 2r] fix an integer uniquely in that base,
+    # so a sum of codes is a degree's code exactly when the degrees sum to
+    # it.  No RODegree sum is built and hashed for each of the n^2 pairs.
+    coordinates = [(d.a,) + d.m for d in degrees]
+    base = 4 * max(abs(x) for c in coordinates for x in c) + 1
+    codes = [sum(x * base**i for i, x in enumerate(c)) for c in coordinates]
+    position = {code: u for u, code in enumerate(codes)}
+    shared = {}
+    by_source = []
+    for d2, code2, piece in zip(degrees, codes, pieces):
+        outgoing = []
+        for d1, code1, ring in zip(degrees, codes, pieces):
+            u = position.get(code1 + code2)
+            if u is None:
+                continue
+            pairing, target = tower.pairings.get((d1, d2)), pieces[u]
+            key = (id(pairing), id(ring), id(piece), id(target))
+            tables = shared.get(key)
+            if tables is None:
+                _check_pairing(pairing, d1, d2, (ring, piece, target))
+                tables = shared[key] = (
+                    _product_tables(pairing.f_top.matrix, ring.top, piece.top, target.top),
+                    _product_tables(pairing.f_bot.matrix, ring.bottom, piece.bottom, target.bottom),
+                )
+            outgoing.append((u, tables))
+        by_source.append(outgoing)
+    return by_source
+
+
+def _check_pairing(pairing, d1, d2, factors):
+    """Raise ``FactorMismatch``, naming both degrees, unless ``pairing`` (the
+    tower's pairing for d1 and d2, or None where it has none) runs from
+    ``factors[0]`` and ``factors[1]`` to ``factors[2]``."""
+    where = f"degrees {d1.key()} and {d2.key()}"
+    if pairing is None:
+        raise FactorMismatch(f"the tower has no pairing for {where}")
+    if (pairing.m, pairing.n, pairing.target) != factors:
+        raise FactorMismatch(f"the pairing for {where} does not run between the tower's pieces")
+
+
+def _window_graph(pieces, by_source):
+    """(models, maps): the ``mackey._closure`` graph of a finite tower.  The
+    piece at position t of the window's degrees has the top node 2t and the
+    bottom node 2t + 1, joined by its res, tr and action; each product of
+    ``_window_pairs`` adds an edge from the node at t to the node at u of
+    the same level.  An empty table list, such as that of a zero bottom
+    level, adds no edge."""
+    models, maps = [], []
+    for t, (piece, outgoing) in enumerate(zip(pieces, by_source)):
+        top, bottom, res, tr, weyl = piece._tables
+        models += (top, bottom)
+        maps.append([(2 * t + 1, [res])]
+                    + [(2 * u, tables) for u, (tables, _) in outgoing if tables])
+        maps.append([(2 * t, [tr]), (2 * t + 1, [weyl])]
+                    + [(2 * u + 1, tables) for u, (_, tables) in outgoing if tables])
+    return models, maps
+
+
+class _WindowLattices:
+    """The subfunctor lattices of a finite tower's ``pieces`` and the verdict
+    tables of its in-window products ``by_source`` (``_window_pairs``),
+    built only to pick a witness.
+
+    Degree t (its position in the window's degrees) has the subfunctors
+    ``subs[t]`` of ``enumerate_subfunctors``; a combination is a tuple of
+    one index per degree.  ``by_source[t]`` holds a verdict (u, allowed) for
+    each pair d1 + d2 = s with d2 at t and s at u: the ring piece at d1
+    times subfunctor i at d2 lies in subfunctor k at s exactly when k is in
     ``allowed[i]``.  A combination is a graded ideal when it passes every
-    verdict.  A smaller source or a larger target can only pass, so graded
-    ideals are closed under intersection and ``least_ideal`` exists.
+    verdict.
     """
 
-    def __init__(self, tower, degrees):
-        # Towers repeat one piece and one pairing in many degrees (``em_tower``
-        # does), so lattices and verdict tables are shared between uses of one
-        # object, found by identity; hashing the frozen dataclasses would cost
-        # more than the sharing saves.  The tower holds every object, so no
-        # id is reused during the check.
-        pieces = [tower.pieces[d] for d in degrees]
+    def __init__(self, pieces, by_source):
+        # lattices and verdict tables are shared between uses of one piece
+        # and one table pair, found by identity as in ``_window_pairs``
         lattices = {}
         for piece in pieces:
             if id(piece) not in lattices:
-                lattices[id(piece)] = _subfunctor_sets(piece)
-        self.subs, self.sets, self.above = map(list, zip(*(lattices[id(p)] for p in pieces)))
-        self.sizes = [[len(t) + len(b) for t, b in sets] for sets in self.sets]
+                subs = enumerate_subfunctors(piece)
+                lattices[id(piece)] = subs, [sub._positions for sub in subs]
+        self.subs, self.sets = map(list, zip(*(lattices[id(p)] for p in pieces)))
         self.zeros = tuple(next(i for i, s in enumerate(subs) if s.is_zero()) for subs in self.subs)
         self.fulls = tuple(next(i for i, s in enumerate(subs) if s.is_full()) for subs in self.subs)
-        # degrees are added as integer tuples (a, m_1, ...), not as an
-        # RODegree built and hashed for each of the n^2 pairs
-        keys = [(d.a,) + d.m for d in degrees]
-        position = {k: t for t, k in enumerate(keys)}
-        tables = {}
-        self.by_source = [[] for _ in degrees]
-        for d1, k1, ring in zip(degrees, keys, pieces):
-            for t, k2 in enumerate(keys):
-                u = position.get(tuple(map(add, k1, k2)))
-                if u is None:
-                    continue
-                parts = (tower.pairings[(d1, degrees[t])], ring, pieces[t], pieces[u])
-                key = (id(parts[0]), id(ring), id(pieces[t]), id(pieces[u]))
-                if key not in tables:
-                    tables[key] = _verdict_table(*parts, self.sets[t], self.sets[u])
-                self.by_source[t].append((u, tables[key]))
-
-    def atom_seeds(self):
-        """For each atom, the combination that is the atom at its degree and
-        zero elsewhere."""
-        for t, above in enumerate(self.above):
-            # an atom contains exactly two subfunctors: zero and itself
-            below = [0] * len(above)
-            for over in above:
-                for k in over:
-                    below[k] += 1
-            for k, count in enumerate(below):
-                if count == 2:
-                    yield self.zeros[:t] + (k,) + self.zeros[t + 1:]
-
-    def least_ideal(self, seed, complete=None):
-        """The least graded ideal containing the combination ``seed``, or
-        all-full as soon as a pick rises into ``complete[u]``, subfunctors at
-        u whose least ideal the caller knows to be all-full.
-
-        A fixed point: while a verdict (u, allowed) of t fails, raise the pick
-        at u to the smallest subfunctor in ``allowed`` of the pick at t that
-        contains the current one.  Every subfunctor is in the lattice, so
-        that one is the subfunctor generated by both, and any graded ideal
-        containing the current picks contains it too.  The work list starts
-        at the seed's nonzero degrees: a zero pick passes every verdict,
-        since its products are zero.
-        """
-        combo = list(seed)
-        todo = [t for t, (k, zero) in enumerate(zip(seed, self.zeros)) if k != zero]
-        while todo:
-            t = todo.pop()
-            for u, allowed in self.by_source[t]:
-                passing = allowed[combo[t]]
-                if combo[u] not in passing:
-                    combo[u] = min(passing & self.above[u][combo[u]], key=self.sizes[u].__getitem__)
-                    if complete is not None and combo[u] in complete[u]:
-                        return self.fulls
-                    todo.append(u)
-        return tuple(combo)
-
-    def atoms_generate_everything(self):
-        """Whether every atom's least ideal is all-full, that is, whether no
-        proper nonzero graded ideal exists.  Each subfunctor containing an
-        atom that generates everything does too and is marked complete:
-        marked atoms are skipped, and a later closure stops when it raises a
-        pick into a marked subfunctor.
-        """
-        complete = [frozenset() for _ in self.subs]
-        for seed in self.atom_seeds():
-            t = next(t for t, (k, zero) in enumerate(zip(seed, self.zeros)) if k != zero)
-            if seed[t] in complete[t]:
-                continue
-            if self.least_ideal(seed, complete) != self.fulls:
-                return False
-            complete[t] |= self.above[t][seed[t]]
-        return True
+        verdicts = {}
+        self.by_source = [[] for _ in pieces]
+        for t, outgoing in enumerate(by_source):
+            for u, tables in outgoing:
+                if id(tables) not in verdicts:
+                    verdicts[id(tables)] = _verdict_table(tables, self.sets[t], self.sets[u])
+                self.by_source[t].append((u, verdicts[id(tables)]))
 
     def first_witness(self):
         """The first graded ideal, neither all-zero nor all-full, in the
@@ -429,33 +438,16 @@ class _WindowLattices:
         return None
 
 
-def _subfunctor_sets(piece):
-    """(subs, sets, above) of a finite piece: its subfunctors from
-    ``enumerate_subfunctors``; each as (top positions, bottom positions) in
-    the piece's finite models; and for each, the indices of the subfunctors
-    that contain it."""
-    subs = enumerate_subfunctors(piece)
-    sets = [sub._positions for sub in subs]
-    above = [
-        frozenset(j for j, (t2, b2) in enumerate(sets) if t1 <= t2 and b1 <= b2) for t1, b1 in sets
+def _verdict_table(tables, sources, targets):
+    """``allowed`` of one pair d1 + d2 = s: for each source subfunctor (at
+    d2), the indices of the ``targets`` subfunctors (at s) that contain the
+    ring piece at d1 times it.  ``tables`` are the pair's (top, bottom)
+    product tables, so the image of a subfunctor is a union of lookups and
+    each verdict is a set inclusion, at both levels."""
+    images = [
+        [frozenset(table[x] for table in level_tables for x in sets[level]) for sets in sources]
+        for level, level_tables in enumerate(tables)
     ]
-    return subs, sets, above
-
-
-def _verdict_table(pairing, ring, piece, target, sources, targets):
-    """``allowed`` of one pair d1 + d2 = s: for each source subfunctor of
-    ``piece`` (at d2), the indices of the ``targets`` subfunctors of
-    ``target`` (at s) that contain ``ring`` (at d1) times it.  Each
-    generator's product map is tabulated once on element positions, so the
-    image of a subfunctor is a union of lookups and each verdict is a set
-    inclusion, at both levels."""
-    images = []
-    for side, (mult, ring_level, level, target_level) in enumerate((
-        (pairing.f_top.matrix, ring.top, piece.top, target.top),
-        (pairing.f_bot.matrix, ring.bottom, piece.bottom, target.bottom),
-    )):
-        tables = _product_tables(mult, ring_level, level, target_level)
-        images.append([frozenset(table[x] for table in tables for x in sets[side]) for sets in sources])
     return [
         frozenset(k for k, (t, b) in enumerate(targets) if top <= t and bottom <= b)
         for top, bottom in zip(*images)
@@ -473,7 +465,8 @@ def _witness_probe(tower: GradedGreenTower, degrees):
         raise InfiniteGroup("infinite pieces admit only the degree-zero witness probe")
     deg = degrees[0]
     piece = tower.pieces[deg]
-    pairing = tower.pairings[(deg, deg)]
+    pairing = tower.pairings.get((deg, deg))
+    _check_pairing(pairing, deg, deg, (piece, piece, piece))
     candidates = [("top", piece.tr(e)) for e in IntMatrix.identity(piece.bottom.num_generators).rows]
     candidates += [("top", e) for e in IntMatrix.identity(piece.top.num_generators).rows]
     for level, vec in candidates:

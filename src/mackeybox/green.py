@@ -43,11 +43,10 @@ from .mackey import (
     Subfunctor,
     ValidationCheck,
     ValidationReport,
-    _closure,
+    _every_element_generates,
     _fixed_points,
     _hom_eq_check,
     _image_table,
-    _map_tables,
     burnside,
     constant,
     enumerate_subfunctors,
@@ -451,8 +450,12 @@ def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
     A commutative Green functor has a proper nonzero ideal exactly when some
     nonzero element generates a proper ideal (Nakaoka, "Ideals of Tambara
     functors", Adv. Math. 230, 2012), so the verdict is decided by one
-    closure per element (``_every_element_generates``), with no lattice.
-    Only when a proper ideal exists are the subfunctors of
+    closure per element (``_every_element_generates``), with no lattice, on
+    the two levels joined by res, tr and the action, each with its left
+    products by the ring's generators (enough, as ``g`` is commutative).
+    The top unit goes first; the bottom unit need not generate everything:
+    in ``constant_green(2, 2)`` the transfer is zero, and the ideal of 1_bot
+    is (0, Z/2).  Only when a proper ideal exists are the subfunctors of
     ``enumerate_subfunctors`` (bottoms are the action-stable subgroups only)
     walked in Hermite-key order, testing each proper nonzero one for
     closure under the products; the first ideal found is the witness.
@@ -464,7 +467,11 @@ def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
         raise InfiniteGroup("field detection requires finite levels")
     if not g.is_commutative():
         raise NotCommutative("field detection requires a commutative Green functor")
-    if _every_element_generates(g):
+    top, bottom, res, tr, weyl = m._tables
+    left_top, left_bottom = g._left_tables
+    maps = [[(1, [res]), (0, left_top)], [(0, [tr]), (1, [weyl] + left_bottom)]]
+    one = (0, top.index[top.to_canonical(g.one_top())])
+    if _every_element_generates([top, bottom], maps, one):
         return FieldVerdict(True, None)
     for sub in enumerate_subfunctors(m):
         if sub.is_zero() or sub.is_full():
@@ -472,34 +479,6 @@ def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
         if _first_escape(g, sub) is None:
             return FieldVerdict(False, sub)
     return FieldVerdict(True, None)
-
-
-def _every_element_generates(g: GreenFunctor):
-    """Whether the ideal generated by each nonzero element of a commutative
-    ``g``, at either level, is all of ``g``.
-
-    The ideal of x is ``mackey._closure`` of x under the level maps and the
-    left products by the ring's generators (left products suffice, as ``g``
-    is commutative).  Elements whose ideal is everything are collected as
-    ``complete``, and a later closure stops as soon as it meets one of them.
-    The top unit goes first, so it is usually the first complete element;
-    the bottom unit is not one in general: in ``constant_green(2, 2)`` the
-    transfer is zero, and the ideal of 1_bot is (0, Z/2).
-    """
-    top, bottom, res, tr, weyl = _map_tables(g.underlying)
-    models = (top, bottom)
-    complete = (set(), set())
-    zeros = [model.index[model.zero()] for model in models]
-    seeds = [(0, top.index[top.to_canonical(g.one_top())])]
-    seeds += [(level, x) for level, model in enumerate(models) for x in range(len(model.elements))]
-    for level, x in seeds:
-        if x == zeros[level] or x in complete[level]:
-            continue
-        ideal = _closure(models, res, tr, weyl, g._left_tables, (level, x), complete)
-        if ideal is not None and (len(ideal[0]), len(ideal[1])) != (top.order(), bottom.order()):
-            return False
-        complete[level].add(x)
-    return True
 
 
 @dataclass(frozen=True)
@@ -522,31 +501,20 @@ class FieldShape:
 
 
 def top_level_is_field(g: GreenFunctor) -> bool:
-    """Exhaustive check that the fixed-orbit ring is a field."""
+    """Whether the fixed-orbit ring is a field: 1 != 0, and each nonzero x
+    has a left inverse, that is, its ``_closure`` under the left products
+    by the ring's generators, the left ideal Rx, is the whole ring.  A
+    finite ring with left inverses is a division ring, so a field
+    (Wedderburn)."""
     m = g.underlying
     if not m.top.is_finite():
         raise InfiniteGroup("top level must be finite")
-    tm = finite_model(m.top)
-    elems = tm.elements
-    one = tm.to_canonical(g.one_top())
-    zero = tm.zero()
-    if one == zero:
+    model = finite_model(m.top)
+    one = model.index[model.to_canonical(g.one_top())]
+    if one == 0:  # the zero is position 0, and the zero ring is not a field
         return False
-
-    def mul(a, b):
-        return tm.to_canonical(
-            _bilinear_vec(g.mult.f_top.matrix, tm.from_canonical(a), tm.from_canonical(b))
-        )
-
-    for a in elems:
-        if a == zero:
-            continue
-        if not any(mul(a, b) == one for b in elems):
-            return False
-        for b in elems:
-            if b != zero and mul(a, b) == zero:
-                return False
-    return True
+    products = _product_tables(g.mult.f_top.matrix, m.top, m.top, m.top)
+    return _every_element_generates([model], [[(0, products)]], (0, one))
 
 
 def _additive_exponent(pres):
@@ -558,7 +526,7 @@ def classify_field_shape(g: GreenFunctor) -> FieldShape:
     """Match a verified Mackey field against the two normal forms.
 
     The levels must be finite (``InfiniteGroup`` otherwise).  The fixed-point
-    form is read from the level tables of ``mackey._map_tables``: restriction
+    form is read from the level tables ``MackeyFunctor._tables``: restriction
     is injective when its table has as many distinct entries as the top has
     elements, and its image is the fixed subgroup when those entries are
     the positions that the Weyl table fixes.
@@ -579,7 +547,7 @@ def classify_field_shape(g: GreenFunctor) -> FieldShape:
     # transfer, decided on the level tables
     if not m.levels_finite():
         raise InfiniteGroup("shape classification requires finite levels")
-    top, _, res, _, weyl = _map_tables(m)
+    top, _, res, _, weyl = m._tables
     image = set(res)
     if len(image) != len(top.elements):
         raise UnclassifiableShape("restriction is not injective")

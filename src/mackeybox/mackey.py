@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import (IllFormedHom, InfiniteGroup, LevelMismatch, NotAComplex, NotAMackeyMap,
                      NotAnAction, NotPrime, PrimeMismatch)
@@ -434,36 +435,29 @@ def _image_table(matrix: IntMatrix, model, target_model):
     return [index[y] for y in images]
 
 
-def _map_tables(m: MackeyFunctor):
-    """(top model, bottom model, res, tr, weyl) of ``m``, tabulated once per
-    functor (``MackeyFunctor._tables``)."""
-    return m._tables
+def _closure(models, maps, seed, complete=None):
+    """The least family of subgroups, one per node, that contains ``seed``
+    and is closed under ``maps``, as a tuple of position frozensets; None as
+    soon as it meets a position in ``complete``.
 
-
-def _closure(models, res, tr, weyl, products, seed, complete=(frozenset(), frozenset())):
-    """The least subfunctor that contains ``seed`` and is closed under
-    ``res``, ``tr``, ``weyl`` and the ``products`` tables, as (top, bottom)
-    sets of positions; None as soon as it meets a position in ``complete``.
-
-    ``models`` are the (top, bottom) finite models and the tables are
-    ``_image_table``s on their positions; ``products`` holds, per level,
-    tables from that level to itself.  ``seed`` is a (level, position) pair,
-    with level 0 the top and 1 the bottom, and ``complete`` holds per level
-    positions whose closure the caller knows to be everything.  Each level
-    is kept as a subgroup: a new element z is joined by walking the cosets
-    S + z, S + 2z, ... until one falls back into S, and since every map is a
-    homomorphism, only the joined z go on the work list.
+    Node i is the finite model ``models[i]``, and ``maps[i]`` lists its
+    edges as (target node, tables), each an ``_image_table`` into the
+    target.  ``seed`` is a (node, position) pair, and ``complete[i]`` holds
+    positions of node i known to generate everything.  A new element z is
+    joined to its node's subgroup S by walking the cosets S + z, S + 2z, ...
+    until one falls back into S, and since every map is a homomorphism, only
+    the joined z go on the work list.  A node's set is made when the closure
+    first joins an element there; until then it is the zero, position 0.
     """
-    maps = (
-        [(1, res)] + [(0, table) for table in products[0]],
-        [(0, tr), (1, weyl)] + [(1, table) for table in products[1]],
-    )
-    sets = tuple({model.index[model.zero()]} for model in models)
+    if complete is None:
+        complete = [frozenset()] * len(models)
+    zero = frozenset({0})
+    sets = {}
 
-    def join(level, z):
-        """Join z into its level's subgroup; False if a complete position
+    def join(node, z):
+        """Join z into its node's subgroup; False if a complete position
         came in on the way."""
-        model, joined, stop = models[level], sets[level], complete[level]
+        model, joined, stop = models[node], sets.setdefault(node, {0}), complete[node]
         elements, index, add = model.elements, model.index, model.add
         step = elements[z]
         coset = list(joined)
@@ -479,14 +473,38 @@ def _closure(models, res, tr, weyl, products, seed, complete=(frozenset(), froze
         return None
     todo = [seed]
     while todo:
-        level, z = todo.pop()
-        for target, table in maps[level]:
-            w = table[z]
-            if w not in sets[target]:
-                if not join(target, w):
-                    return None
-                todo.append((target, w))
-    return frozenset(sets[0]), frozenset(sets[1])
+        node, z = todo.pop()
+        for target, tables in maps[node]:
+            joined = sets.get(target, zero)
+            for table in tables:
+                w = table[z]
+                if w not in joined:
+                    if not join(target, w):
+                        return None
+                    joined = sets[target]
+                    todo.append((target, w))
+    return tuple(frozenset(sets.get(node, zero)) for node in range(len(models)))
+
+
+def _every_element_generates(models, maps, first=None):
+    """Whether the ``_closure`` of each nonzero element of each node of the
+    graph ``models``, ``maps`` is everything: every element of every node.
+
+    Elements found to generate everything are collected as ``complete``,
+    and a later closure stops as soon as it meets one of them.  ``first``, a
+    (node, position) pair such as a ring's unit, is closed before the rest,
+    so that it is usually the first complete element.
+    """
+    complete = [set() for _ in models]
+    seeds = ((node, x) for node, model in enumerate(models) for x in range(len(model.elements)))
+    for node, x in chain([first] if first else [], seeds):
+        if x == 0 or x in complete[node]:
+            continue
+        ideal = _closure(models, maps, (node, x), complete)
+        if ideal is not None and any(len(s) != len(m.elements) for s, m in zip(ideal, models)):
+            return False
+        complete[node].add(x)
+    return True
 
 
 def enumerate_subfunctors(m: MackeyFunctor):
@@ -503,7 +521,7 @@ def enumerate_subfunctors(m: MackeyFunctor):
     """
     if not m.levels_finite():
         raise InfiniteGroup("subfunctor enumeration requires finite levels")
-    tm, bm, res, tr, weyl = _map_tables(m)
+    tm, bm, res, tr, weyl = m._tables
     orbits = []
     for x in range(len(bm.elements)):
         orbit = [x]

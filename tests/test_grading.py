@@ -5,13 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mackeybox import grading
-from mackeybox.errors import EmptyWindow, NotPrime, PrimeMismatch, UnclassifiedField, WindowOverflow
+from mackeybox.errors import (
+    EmptyWindow,
+    FactorMismatch,
+    NotPrime,
+    PrimeMismatch,
+    UnclassifiedField,
+    WindowOverflow,
+)
 from mackeybox.grading import (
     BoxWindow,
     GradedGreenTower,
     GradedMackey,
     RODegree,
-    _WindowLattices,
+    _window_graph,
+    _window_pairs,
     em_homotopy,
     em_tower,
     graded_box,
@@ -27,7 +35,13 @@ from mackeybox.green import (
     f4_frobenius_green,
     field_top_green,
 )
-from mackeybox.mackey import canonical_levels, enumerate_subfunctors, j_bottom
+from mackeybox.mackey import (
+    _closure,
+    _every_element_generates,
+    canonical_levels,
+    enumerate_subfunctors,
+    j_bottom,
+)
 from mackeybox.exactlin import AbHom, cyclic_group, finite_model
 from mackeybox.intlinalg import IntMatrix
 
@@ -242,8 +256,8 @@ def test_graded_window_no_ideal_for_concentrated_f2():
 
 @pytest.mark.parametrize("m", [10, 20, 40, 80])
 def test_graded_window_decides_large_f2_windows(m):
-    # 2^(2m+1) combinations; the atoms' generated ideals decide these
-    # windows with no search
+    # 2^(2m+1) combinations; one closure per element decides these windows
+    # with no search
     shape = classify_field_shape(field_top_green(2, 2))
     window = BoxWindow(2, m, m)
     cert = graded_field_window_check(em_tower(shape, window), window)
@@ -276,6 +290,47 @@ def test_graded_window_constant_f2_witness():
     window = BoxWindow(2, 0, 0)
     cert = graded_field_window_check(tower, window)
     assert cert.verdict == "witness"
+
+
+def tower_with_pairing(g, degrees, odd_one=None):
+    """``g`` in each degree, any two pieces multiplied by ``g.mult``, except
+    the pair (0, 0), (1, 0), which gets ``odd_one``, or no pairing when it
+    is None."""
+    pairings = {(d1, d2): g.mult for d1 in degrees for d2 in degrees}
+    del pairings[(deg2(0, 0), deg2(1, 0))]
+    if odd_one is not None:
+        pairings[(deg2(0, 0), deg2(1, 0))] = odd_one
+    return GradedGreenTower(2, {d: g.underlying for d in degrees}, pairings)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: tower_with_pairing(constant_green(2, 2), [deg2(0, 0), deg2(1, 0)]),
+         FactorMismatch, r"no pairing for degrees 0\|0 and 1\|0"),
+        (lambda: tower_with_pairing(constant_green(2, 2), [deg2(0, 0), deg2(1, 0)],
+                                    f4_frobenius_green().mult),
+         FactorMismatch, r"pairing for degrees 0\|0 and 1\|0 does not run between"),
+        (lambda: tower_with_pairing(field_top_green(2, 2), [deg2(0, 0), deg2(1, 0)],
+                                    constant_green(2, 2).mult),
+         FactorMismatch, r"pairing for degrees 0\|0 and 1\|0 does not run between"),
+        (lambda: GradedGreenTower(
+            2, {deg2(0, 0): constant_green(3, 3).underlying},
+            {(deg2(0, 0), deg2(0, 0)): constant_green(3, 3).mult}),
+         PrimeMismatch, "C_2 and C_3"),
+        (lambda: GradedGreenTower(2, {deg2(0, 0): burnside_green(2).underlying}, {}),
+         FactorMismatch, r"no pairing for degrees 0\|0 and 0\|0"),
+        (lambda: GradedGreenTower(
+            2, {deg2(0, 0): burnside_green(2).underlying},
+            {(deg2(0, 0), deg2(0, 0)): constant_green(2, 2).mult}),
+         FactorMismatch, r"pairing for degrees 0\|0 and 0\|0 does not run between"),
+    ],
+    ids=["missing", "f4-mult-on-constant-f2", "constant-mult-on-concentrated-f2",
+         "piece-over-c3", "probe-missing", "probe-mismatched"],
+)
+def test_malformed_tower_raises_typed_error(make, error, message):
+    with pytest.raises(error, match=message):
+        graded_field_window_check(make(), BoxWindow(2, 1, 0))
 
 
 def laurent_f2_tower(degrees):
@@ -476,64 +531,63 @@ def test_graded_window_matches_brute_force_on_small_towers(tower):
     assert cert.to_json() == brute_force_window_check(tower, SMALL_WINDOW)
 
 
+def window_graph(tower, window):
+    """(degrees, (models, maps)): the tower's degrees in the window and its
+    closure graph, node 2t the top and 2t + 1 the bottom of degree t."""
+    degrees = [d for d in window.degrees() if d in tower.pieces]
+    pieces = [tower.pieces[d] for d in degrees]
+    return degrees, _window_graph(pieces, _window_pairs(tower, degrees))
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_towers())
-def test_least_ideal_of_each_atom_is_the_intersection_of_the_ideals_containing_it(tower):
-    degrees = [d for d in SMALL_WINDOW.degrees() if d in tower.pieces]
-    lattices = _WindowLattices(tower, degrees)
+def test_closure_of_each_element_is_the_intersection_of_the_ideals_containing_it(tower):
+    degrees, (models, maps) = window_graph(tower, SMALL_WINDOW)
     pairs = [
         (d1, d2, d1 + d2) for d1 in degrees for d2 in degrees if d1 + d2 in tower.pieces
     ]
+    # every graded ideal, found by brute force, as the position sets of its nodes
     ideals = []
-    for combo in iproduct(*lattices.subs):
+    for combo in iproduct(*(enumerate_subfunctors(tower.pieces[d]) for d in degrees)):
         choice = dict(zip(degrees, combo))
         if all(products_land_in(tower, d1, d2, choice[d2], choice[d]) for d1, d2, d in pairs):
-            ideals.append(combo)
-
-    def contains(big, small):
-        return big.top_elements >= small.top_elements and big.bottom_elements >= small.bottom_elements
-
-    seeds = list(lattices.atom_seeds())
-    # the seeds are the atoms: the minimal nonzero subfunctors of each degree
-    for t, subs in enumerate(lattices.subs):
-        nonzero = [a for a in subs if not a.is_zero()]
-        atoms = {
-            k for k, a in enumerate(subs)
-            if not a.is_zero() and not any(b is not a and contains(a, b) for b in nonzero)
-        }
-        assert {seed[t] for seed in seeds if seed[t] != lattices.zeros[t]} == atoms
-    for seed in seeds:
-        generators = [subs[k] for subs, k in zip(lattices.subs, seed)]
-        # the all-full combination is one of them, so the list is not empty
-        containing = [ideal for ideal in ideals if all(map(contains, ideal, generators))]
-        least = lattices.least_ideal(seed)
-        for t, subs in enumerate(lattices.subs):
-            top = frozenset.intersection(*(ideal[t].top_elements for ideal in containing))
-            bottom = frozenset.intersection(*(ideal[t].bottom_elements for ideal in containing))
-            assert (subs[least[t]].top_elements, subs[least[t]].bottom_elements) == (top, bottom)
+            ideals.append([positions for sub in combo for positions in sub._positions])
+    for node, model in enumerate(models):
+        for x in range(len(model.elements)):
+            # the all-full combination is one of them, so the list is not empty
+            containing = [ideal for ideal in ideals if x in ideal[node]]
+            least = tuple(
+                frozenset.intersection(*(ideal[k] for ideal in containing))
+                for k in range(len(models))
+            )
+            assert _closure(models, maps, (node, x)) == least
 
 
-def assert_decision_matches_every_atom_closed_in_full(tower, window):
-    """``atoms_generate_everything``, which stops closures at atoms known to
-    generate everything, against closing every atom to its least ideal."""
-    degrees = [d for d in window.degrees() if d in tower.pieces]
-    lattices = _WindowLattices(tower, degrees)
-    every = all(lattices.least_ideal(seed) == lattices.fulls for seed in lattices.atom_seeds())
-    assert lattices.atoms_generate_everything() == every
+def assert_decision_matches_every_element_closed_in_full(tower, window):
+    """``_every_element_generates``, which stops closures at elements known
+    to generate everything, against closing every element in full."""
+    _, (models, maps) = window_graph(tower, window)
+    orders = [len(model.elements) for model in models]
+    every = all(
+        list(map(len, _closure(models, maps, (node, x)))) == orders
+        for node, order in enumerate(orders)
+        for x in range(1, order)
+    )
+    assert _every_element_generates(models, maps) == every
     return every
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_towers())
 def test_early_stop_matches_full_closures_on_small_towers(tower):
-    assert_decision_matches_every_atom_closed_in_full(tower, SMALL_WINDOW)
+    assert_decision_matches_every_element_closed_in_full(tower, SMALL_WINDOW)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_early_stop_matches_full_closures_on_f2_towers(m):
     window = BoxWindow(2, m, m)
     tower = em_tower(classify_field_shape(field_top_green(2, 2)), window)
-    assert assert_decision_matches_every_atom_closed_in_full(tower, window)
+    assert assert_decision_matches_every_element_closed_in_full(tower, window)
 
 
 @pytest.mark.parametrize(
@@ -546,7 +600,7 @@ def test_early_stop_matches_full_closures_on_f2_towers(m):
     ids=["laurent-3", "f4-over-f2", "truncated-polynomial"],
 )
 def test_early_stop_matches_full_closures_where_an_ideal_exists(tower):
-    assert not assert_decision_matches_every_atom_closed_in_full(tower, BoxWindow(2, 1, 0))
+    assert not assert_decision_matches_every_element_closed_in_full(tower, BoxWindow(2, 1, 0))
 
 
 def products_land_in(tower, d1, d2, sub, target):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from functools import partial
 from itertools import product
 
 import pytest
@@ -57,16 +58,17 @@ from mackeybox.green import (
     top_level_is_field,
     validate_green,
 )
+from mackeybox.grading import BoxWindow, graded_field_window_check, single_degree_tower
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     MackeyFunctor,
     _closure,
-    _map_tables,
     burnside,
     canonical_levels,
     constant,
     enumerate_subfunctors,
     identity_map,
+    j_top,
     validate_mackey,
     zero_mackey,
 )
@@ -375,20 +377,21 @@ def test_closure_of_units_in_constant_f2():
     # tr = 2 = 0 and nothing restricts onto the bottom unit, so 1_bot
     # generates the proper ideal (0, Z/2) while 1_top generates everything
     g = constant_green(2, 2)
-    top, bottom, res, tr, weyl = _map_tables(g.underlying)
+    top, bottom, res, tr, weyl = g.underlying._tables
     one_top = top.index[top.to_canonical(g.one_top())]
     one_bot = bottom.index[bottom.to_canonical(g.one_bot())]
     zero_top, zero_bot = top.index[top.zero()], bottom.index[bottom.zero()]
     models = (top, bottom)
+    left_top, left_bottom = g._left_tables
+    maps = [[(1, [res]), (0, left_top)], [(0, [tr]), (1, [weyl] + left_bottom)]]
 
     def ideal(seed):
-        return _closure(models, res, tr, weyl, g._left_tables, seed)
+        return _closure(models, maps, seed)
 
     assert ideal((1, one_bot)) == (frozenset({zero_top}), frozenset({zero_bot, one_bot}))
     assert ideal((0, one_top)) == (frozenset({zero_top, one_top}), frozenset({zero_bot, one_bot}))
     # a closure that meets a complete position stops there
-    assert _closure(models, res, tr, weyl, g._left_tables, (0, one_top),
-                    (frozenset(), frozenset({one_bot}))) is None
+    assert _closure(models, maps, (0, one_top), (frozenset(), frozenset({one_bot}))) is None
 
 
 def field_by_subfunctor_walk(g):
@@ -612,6 +615,94 @@ def test_top_level_field_negatives():
     assert not top_level_is_field(constant_green(2, 4))  # 2 is a zero divisor
     z = green_from_mult(zero_mackey(2), (), IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
     assert not top_level_is_field(z)
+
+
+def concentrated_f2_squared(products, one):
+    """(Z/2)^2 at the top and zero below, with e_i * e_j = ``products[i][j]``."""
+    m = j_top(2, FGAbPresentation(2, IntMatrix.identity(2).scale(2)))
+    mult = IntMatrix.from_columns([products[i][j] for i in range(2) for j in range(2)], 2)
+    return green_from_mult(m, one, mult, IntMatrix.zeros(0, 0))
+
+
+TOP_LEVEL_CORPUS = {
+    "constant-Z4": lambda: constant_green(2, 4),
+    "constant-Z9": lambda: constant_green(3, 9),
+    # componentwise, with the idempotents e_0, e_1 as generators
+    "F2xF2": lambda: concentrated_f2_squared((((1, 0), (0, 0)), ((0, 0), (0, 1))), (1, 1)),
+    # the generators 1 and x, with x^2 = 0
+    "F2[x]/x^2": lambda: concentrated_f2_squared((((1, 0), (0, 1)), ((0, 1), (0, 0))), (1, 0)),
+    "zero": lambda: green_from_mult(
+        zero_mackey(2), (), IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)
+    ),
+    "field-top-F2": lambda: field_top_green(2, 2),
+    "field-top-F3": lambda: field_top_green(3, 3),
+    "F4": f4_frobenius_green,
+    "F16": lambda: gf2_galois_green(4, 0b10011, 2),
+    "F64": lambda: gf2_galois_green(6, 0b1000011, 3),
+}
+
+
+def frobenius_fixed_point_green(q, low, order):
+    """The fixed-point Green functor of F_q[x]/(f) under the Frobenius of
+    ``order``, f with lower coefficients ``low`` (``frobenius_rings``)."""
+    pres, mult, frob = polynomial_ring(q, low)
+    d = len(low)
+    action = AbHom(pres, pres, IntMatrix.from_columns(frob, d))
+    return fixed_point_green(order, pres, action, mult, (1,) + (0,) * (d - 1))
+
+
+# fixed subrings of F_q[x]/(f) under the Frobenius: fields and products
+TOP_LEVEL_CORPUS.update(
+    (f"F{q}[x]/f{''.join(map(str, low))}", partial(frobenius_fixed_point_green, q, low, order))
+    for q, low, order in frobenius_rings()
+)
+
+
+def top_field_by_pairwise_products(g):
+    """Oracle for ``top_level_is_field``: 1 != 0, every nonzero a has some b
+    with a * b = 1, and no two nonzero elements multiply to zero, each
+    product computed in generator coordinates."""
+    m = g.underlying
+    tm, mult, n = finite_model(m.top), g.mult.f_top.matrix, m.top.num_generators
+    one, zero = tm.to_canonical(g.one_top()), tm.zero()
+    if one == zero:
+        return False
+
+    def mul(a, b):
+        x, y = tm.from_canonical(a), tm.from_canonical(b)
+        return tm.to_canonical(tuple(
+            sum(row[i * n + j] * xi * yj for i, xi in enumerate(x) for j, yj in enumerate(y))
+            for row in mult.rows
+        ))
+
+    for a in tm.elements:
+        if a == zero:
+            continue
+        if not any(mul(a, b) == one for b in tm.elements):
+            return False
+        if any(b != zero and mul(a, b) == zero for b in tm.elements):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("make", list(TOP_LEVEL_CORPUS.values()), ids=list(TOP_LEVEL_CORPUS))
+def test_top_level_is_field_matches_pairwise_products(make):
+    g = make()
+    assert top_level_is_field(g) == top_field_by_pairwise_products(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [make for name, make in TOP_LEVEL_CORPUS.items() if name != "zero"]
+    + [lambda: gf2_galois_green(8, 0b100011101, 4)],
+    ids=[name for name in TOP_LEVEL_CORPUS if name != "zero"] + ["F256"],
+)
+def test_single_degree_window_verdict_is_the_field_verdict(make):
+    # F_256/C_2 took seconds when the window check walked the subfunctor
+    # lattice to find that no ideal exists
+    g = make()
+    cert = graded_field_window_check(single_degree_tower(g), BoxWindow(g.prime, 0, 0))
+    assert (cert.verdict == "no_graded_ideal_in_window") == is_mackey_field(g).is_field
 
 
 # ---------------------------------------------------------------------------
