@@ -74,7 +74,8 @@ class SizeLimit(MackeyboxError):
 
 
 class WindowOverflow(MackeyboxError):
-    pass
+    """A graded box product (``grading.graded_box``) whose output support
+    would hold more than ``grading.MAX_GRADED_PIECES`` degrees."""
 
 
 class EmptyWindow(MackeyboxError, ValueError):

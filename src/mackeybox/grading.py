@@ -28,7 +28,6 @@ from .mackey import (
     MackeyFunctor,
     _every_element_generates,
     _same_prime,
-    enumerate_subfunctors,
     j_bottom,
     mackey_direct_sum,
     require_prime,
@@ -218,13 +217,6 @@ class PartialCertificate:
         return out
 
 
-MAX_GRADED_COMBINATIONS = 1_000_000
-"""Node budget of the ordered search for the first witness in
-``graded_field_window_check``: the number of single-degree assignments it
-may try.  Deciding that no graded ideal exists takes no search and no
-budget."""
-
-
 def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertificate:
     """Search for a proper nonzero graded ideal supported in the window.
 
@@ -233,13 +225,10 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     d1 times the pick at d2 lies in the pick at s.  A proper nonzero one
     exists exactly when some nonzero element generates a proper one, so
     one ``mackey._closure`` per element decides it, on the graph of
-    ``_window_graph`` (``_every_element_generates``).  Only then are
-    subfunctor lattices built: the witness is the first combination, in
-    the order of ``itertools.product`` over the lattices of
-    ``enumerate_subfunctors``, that is a graded ideal and neither all-zero
-    nor all-full; an ordered search with forward checking finds it, and
-    raises ``WindowOverflow`` beyond ``MAX_GRADED_COMBINATIONS`` nodes
-    (README, "Subfunctors and ideals").
+    ``_window_graph`` (``_every_element_generates``).  The witness is the
+    first closure that is proper, the graded ideal generated by one
+    element, given per degree by the canonical coordinates of its top and
+    bottom elements (README, "Subfunctors and ideals").
 
     A piece with infinite level falls back to a deterministic
     generated-ideal probe (transfers of generators first); the probe can
@@ -263,17 +252,16 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     if not all(piece.levels_finite() for piece in pieces):
         return _witness_probe(tower, degrees)
 
-    by_source = _window_pairs(tower, degrees)
-    if _every_element_generates(*_window_graph(pieces, by_source)):
+    models, maps = _window_graph(pieces, _window_pairs(tower, degrees))
+    ideal = _every_element_generates(models, maps)
+    if ideal is None:
         return PartialCertificate(True, "no_graded_ideal_in_window", None)
-    lattices = _WindowLattices(pieces, by_source)
-    choice = [subs[i] for subs, i in zip(lattices.subs, lattices.first_witness())]
+    # node 2t is the top and node 2t + 1 the bottom of degree t
+    coordinates = [sorted(list(model.elements[x]) for x in positions)
+                   for model, positions in zip(models, ideal)]
     witness = {
-        d.key(): {
-            "top": sorted(list(c) for c in sub.top_elements),
-            "bottom": sorted(list(c) for c in sub.bottom_elements),
-        }
-        for d, sub in zip(degrees, choice)
+        d.key(): {"top": coordinates[2 * t], "bottom": coordinates[2 * t + 1]}
+        for t, d in enumerate(degrees)
     }
     return PartialCertificate(True, "witness", witness)
 
@@ -352,108 +340,6 @@ def _window_graph(pieces, by_source):
     return models, maps
 
 
-class _WindowLattices:
-    """The subfunctor lattices of a finite tower's ``pieces`` and the verdict
-    tables of its in-window products ``by_source`` (``_window_pairs``),
-    built only to pick a witness.
-
-    Degree t (its position in the window's degrees) has the subfunctors
-    ``subs[t]`` of ``enumerate_subfunctors``; a combination is a tuple of
-    one index per degree.  ``by_source[t]`` holds a verdict (u, allowed) for
-    each pair d1 + d2 = s with d2 at t and s at u: the ring piece at d1
-    times subfunctor i at d2 lies in subfunctor k at s exactly when k is in
-    ``allowed[i]``.  A combination is a graded ideal when it passes every
-    verdict.
-    """
-
-    def __init__(self, pieces, by_source):
-        # lattices and verdict tables are shared between uses of one piece
-        # and one table pair, found by identity as in ``_window_pairs``
-        lattices = {}
-        for piece in pieces:
-            if id(piece) not in lattices:
-                subs = enumerate_subfunctors(piece)
-                lattices[id(piece)] = subs, [sub._positions for sub in subs]
-        self.subs, self.sets = map(list, zip(*(lattices[id(p)] for p in pieces)))
-        self.zeros = tuple(next(i for i, s in enumerate(subs) if s.is_zero()) for subs in self.subs)
-        self.fulls = tuple(next(i for i, s in enumerate(subs) if s.is_full()) for subs in self.subs)
-        verdicts = {}
-        self.by_source = [[] for _ in pieces]
-        for t, outgoing in enumerate(by_source):
-            for u, tables in outgoing:
-                if id(tables) not in verdicts:
-                    verdicts[id(tables)] = _verdict_table(tables, self.sets[t], self.sets[u])
-                self.by_source[t].append((u, verdicts[id(tables)]))
-
-    def first_witness(self):
-        """The first graded ideal, neither all-zero nor all-full, in the
-        order of ``itertools.product``, or None: a depth-first search over
-        the degrees in order, each trying its subfunctors in increasing index.
-
-        Forward checking (Haralick and Elliott, Artif. Intell. 14, 1980):
-        assigning a degree narrows the domain of every later degree it
-        shares a verdict with, and a branch stops when a domain empties.
-        Each assignment counts against ``MAX_GRADED_COMBINATIONS``.
-        """
-        n = len(self.subs)
-        domains = [frozenset(range(len(subs))) for subs in self.subs]
-        # forward[t]: (u, narrow) with u > t; assigning v at t leaves narrow[v] at u
-        forward = [[] for _ in range(n)]
-        for t, outgoing in enumerate(self.by_source):
-            for u, allowed in outgoing:
-                if t == u:
-                    domains[t] = frozenset(i for i in domains[t] if i in allowed[i])
-                elif t < u:
-                    forward[t].append((u, allowed))
-                else:
-                    sources = range(len(self.subs[t]))
-                    forward[u].append((t, [
-                        frozenset(i for i in sources if v in allowed[i])
-                        for v in range(len(self.subs[u]))
-                    ]))
-        nodes = 0
-        stack = [((), domains, iter(sorted(domains[0])))]
-        while stack:
-            combo, domains, values = stack[-1]
-            v = next(values, None)
-            if v is None:
-                stack.pop()
-                continue
-            nodes += 1
-            if nodes > MAX_GRADED_COMBINATIONS:
-                raise WindowOverflow(
-                    f"the search for the first witness exceeded its search budget of "
-                    f"{MAX_GRADED_COMBINATIONS} nodes (MAX_GRADED_COMBINATIONS)"
-                )
-            t, combo = len(combo), combo + (v,)
-            narrowed = list(domains)
-            for u, narrow in forward[t]:
-                narrowed[u] &= narrow[v]
-            if not all(narrowed[u] for u, _ in forward[t]):
-                continue
-            if t < n - 1:
-                stack.append((combo, narrowed, iter(sorted(narrowed[t + 1]))))
-            elif combo != self.zeros and combo != self.fulls:
-                return combo
-        return None
-
-
-def _verdict_table(tables, sources, targets):
-    """``allowed`` of one pair d1 + d2 = s: for each source subfunctor (at
-    d2), the indices of the ``targets`` subfunctors (at s) that contain the
-    ring piece at d1 times it.  ``tables`` are the pair's (top, bottom)
-    product tables, so the image of a subfunctor is a union of lookups and
-    each verdict is a set inclusion, at both levels."""
-    images = [
-        [frozenset(table[x] for table in level_tables for x in sets[level]) for sets in sources]
-        for level, level_tables in enumerate(tables)
-    ]
-    return [
-        frozenset(k for k, (t, b) in enumerate(targets) if top <= t and bottom <= b)
-        for top, bottom in zip(*images)
-    ]
-
-
 def _witness_probe(tower: GradedGreenTower, degrees):
     """Generated-ideal search for towers with infinite levels.
 
@@ -518,7 +404,8 @@ def graded_box(a: GradedMackey, b: GradedMackey, out_window=None, limit=None) ->
                 continue
             sums.setdefault(s, []).append((d1, d2))
     if len(sums) > MAX_GRADED_PIECES:
-        raise WindowOverflow(f"graded product support has {len(sums)} degrees")
+        raise WindowOverflow(f"graded product support has {len(sums)} degrees, more than "
+                             f"MAX_GRADED_PIECES = {MAX_GRADED_PIECES}")
     pieces = {}
     for s, pairs in sums.items():
         parts = [box(a.pieces[d1], b.pieces[d2], limit=limit).result for d1, d2 in pairs]

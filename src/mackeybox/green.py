@@ -4,11 +4,10 @@ A Green functor is a Mackey functor with a unit map from the Burnside
 functor and a multiplication pairing.  Field detection is exact on finite
 levels: a commutative Green functor is a field when every nonzero element
 generates the whole functor as an ideal, which one closure per element
-decides on tabulated level maps, and otherwise the subfunctor lattice is
-walked for a deterministic witness ideal.  The classification of fields
-into the two normal forms (concentrated at the fixed orbit, or the fixed
-points of a ring with action) is then checked against actual data rather
-than assumed.
+decides on tabulated level maps, and otherwise the first proper closure is
+the witness ideal.  The classification of fields into the two normal forms
+(concentrated at the fixed orbit, or the fixed points of a ring with
+action) is then checked against actual data rather than assumed.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from .mackey import (
     _fixed_points,
     _hom_eq_check,
     _image_table,
+    _subfunctor_at,
     burnside,
     constant,
-    enumerate_subfunctors,
     j_top,
     validate_mackey,
 )
@@ -453,12 +452,11 @@ def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
     closure per element (``_every_element_generates``), with no lattice, on
     the two levels joined by res, tr and the action, each with its left
     products by the ring's generators (enough, as ``g`` is commutative).
-    The top unit goes first; the bottom unit need not generate everything:
-    in ``constant_green(2, 2)`` the transfer is zero, and the ideal of 1_bot
-    is (0, Z/2).  Only when a proper ideal exists are the subfunctors of
-    ``enumerate_subfunctors`` (bottoms are the action-stable subgroups only)
-    walked in Hermite-key order, testing each proper nonzero one for
-    closure under the products; the first ideal found is the witness.
+    The top unit goes first, then the top and the bottom elements in
+    ascending position; the bottom unit need not generate everything: in
+    ``constant_green(2, 2)`` the transfer is zero, and the ideal of 1_bot is
+    (0, Z/2).  The witness is the first closure that is proper: the ideal
+    generated by one element, so an ideal, nonzero, and proper.
     """
     m = g.underlying
     if m.is_zero():
@@ -471,14 +469,10 @@ def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
     left_top, left_bottom = g._left_tables
     maps = [[(1, [res]), (0, left_top)], [(0, [tr]), (1, [weyl] + left_bottom)]]
     one = (0, top.index[top.to_canonical(g.one_top())])
-    if _every_element_generates([top, bottom], maps, one):
+    ideal = _every_element_generates([top, bottom], maps, one)
+    if ideal is None:
         return FieldVerdict(True, None)
-    for sub in enumerate_subfunctors(m):
-        if sub.is_zero() or sub.is_full():
-            continue
-        if _first_escape(g, sub) is None:
-            return FieldVerdict(False, sub)
-    return FieldVerdict(True, None)
+    return FieldVerdict(False, _subfunctor_at(m, *ideal))
 
 
 @dataclass(frozen=True)
@@ -514,7 +508,7 @@ def top_level_is_field(g: GreenFunctor) -> bool:
     if one == 0:  # the zero is position 0, and the zero ring is not a field
         return False
     products = _product_tables(g.mult.f_top.matrix, m.top, m.top, m.top)
-    return _every_element_generates([model], [[(0, products)]], (0, one))
+    return _every_element_generates([model], [[(0, products)]], (0, one)) is None
 
 
 def _additive_exponent(pres):

@@ -368,8 +368,8 @@ class Subfunctor:
 
     ``top_elements`` and ``bottom_elements`` are canonical coordinates in the
     parent's finite models.  Closure tests and ideal tests read only these
-    sets, as positions (``_positions``, which ``enumerate_subfunctors`` hands
-    over as it builds each subfunctor); the presented subfunctor and its
+    sets, as positions (``_positions``, which ``_subfunctor_at`` fills in
+    as it builds a subfunctor from them); the presented subfunctor and its
     inclusion are built on first use of ``include`` or ``functor`` and kept.
     """
 
@@ -397,7 +397,8 @@ class Subfunctor:
     def _positions(self):
         """(top, bottom): the element sets as frozensets of positions in the
         parent's finite models, kept like ``include``; converted through
-        ``FiniteModel.index`` only for subfunctors built elsewhere."""
+        ``FiniteModel.index`` only for subfunctors not built by
+        ``_subfunctor_at``."""
         top, bottom = finite_model(self.parent.top).index, finite_model(self.parent.bottom).index
         return (frozenset(map(top.__getitem__, self.top_elements)),
                 frozenset(map(bottom.__getitem__, self.bottom_elements)))
@@ -410,6 +411,16 @@ class Subfunctor:
 
     def is_zero(self):
         return len(self.top_elements) == 1 and len(self.bottom_elements) == 1
+
+
+def _subfunctor_at(m: MackeyFunctor, top, bottom):
+    """The subfunctor of ``m`` whose levels are the position sets ``top`` and
+    ``bottom`` in its finite models, with ``_positions`` filled in."""
+    tm, bm = m._tables[:2]
+    sub = Subfunctor(m, frozenset(map(tm.elements.__getitem__, top)),
+                     frozenset(map(bm.elements.__getitem__, bottom)))
+    sub.__dict__["_positions"] = (top, bottom)  # what the cached property would compute
+    return sub
 
 
 def _image_table(matrix: IntMatrix, model, target_model):
@@ -487,13 +498,18 @@ def _closure(models, maps, seed, complete=None):
 
 
 def _every_element_generates(models, maps, first=None):
-    """Whether the ``_closure`` of each nonzero element of each node of the
+    """None when the ``_closure`` of each nonzero element of each node of the
     graph ``models``, ``maps`` is everything: every element of every node.
+    Otherwise the first closure that is not, as ``_closure`` returns it.
 
+    That closure is the least family closed under ``maps`` that holds its
+    seed, so it is nonzero and, for the graph of an ideal check, the
+    principal ideal of its seed; callers report it as their witness.
     Elements found to generate everything are collected as ``complete``,
     and a later closure stops as soon as it meets one of them.  ``first``, a
     (node, position) pair such as a ring's unit, is closed before the rest,
-    so that it is usually the first complete element.
+    so that it is usually the first complete element; then the nodes are
+    taken in order, each in ascending position.
     """
     complete = [set() for _ in models]
     seeds = ((node, x) for node, model in enumerate(models) for x in range(len(model.elements)))
@@ -502,9 +518,9 @@ def _every_element_generates(models, maps, first=None):
             continue
         ideal = _closure(models, maps, (node, x), complete)
         if ideal is not None and any(len(s) != len(m.elements) for s, m in zip(ideal, models)):
-            return False
+            return ideal
         complete[node].add(x)
-    return True
+    return None
 
 
 def enumerate_subfunctors(m: MackeyFunctor):
@@ -516,8 +532,8 @@ def enumerate_subfunctors(m: MackeyFunctor):
     orbits x, weyl(x), weyl(weyl(x)), ...  Each level map is tabulated once
     on element positions, so both closure tests are set inclusions.  Both
     lattices come Hermite-sorted, so walking top x bottom yields the
-    subfunctors in (top key, bottom key) order.  Each subfunctor gets its
-    position sets (``Subfunctor._positions``) from the walk.
+    subfunctors in (top key, bottom key) order.  Each subfunctor is built
+    from its position sets by ``_subfunctor_at``.
     """
     if not m.levels_finite():
         raise InfiniteGroup("subfunctor enumeration requires finite levels")
@@ -528,22 +544,11 @@ def enumerate_subfunctors(m: MackeyFunctor):
         while weyl[orbit[-1]] not in orbit:
             orbit.append(weyl[orbit[-1]])
         orbits.append(orbit)
-    tops = [
-        (t, frozenset(res[x] for x in t), frozenset(tm.elements[x] for x in t))
-        for t in _lattice(tm, [(x,) for x in range(len(tm.elements))])
-    ]
-    bottoms = [
-        (b, frozenset(tr[x] for x in b), frozenset(bm.elements[x] for x in b))
-        for b in _lattice(bm, orbits)
-    ]
-    subs = []
-    for t, res_t, top in tops:
-        for b, tr_b, bottom in bottoms:
-            if tr_b <= t and res_t <= b:
-                sub = Subfunctor(m, top, bottom)
-                sub.__dict__["_positions"] = (t, b)  # what the cached property would compute
-                subs.append(sub)
-    return subs
+    tops = [(t, frozenset(res[x] for x in t))
+            for t in _lattice(tm, [(x,) for x in range(len(tm.elements))])]
+    bottoms = [(b, frozenset(tr[x] for x in b)) for b in _lattice(bm, orbits)]
+    return [_subfunctor_at(m, t, b)
+            for t, res_t in tops for b, tr_b in bottoms if tr_b <= t and res_t <= b]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from mackeybox.green import (
     field_top_green,
 )
 from mackeybox.mackey import (
+    Subfunctor,
     _closure,
     _every_element_generates,
     canonical_levels,
@@ -264,12 +265,6 @@ def test_graded_window_decides_large_f2_windows(m):
     assert cert.verdict == "no_graded_ideal_in_window"
 
 
-def test_graded_window_search_budget(monkeypatch):
-    monkeypatch.setattr(grading, "MAX_GRADED_COMBINATIONS", 1)
-    with pytest.raises(WindowOverflow, match="search budget"):
-        graded_field_window_check(laurent_f2_tower([deg2(0, 0), deg2(1, 0)]), BoxWindow(2, 1, 0))
-
-
 def test_graded_window_burnside_witness():
     tower = single_degree_tower(burnside_green(2))
     window = BoxWindow(2, 0, 0)
@@ -387,9 +382,9 @@ def f4_over_f2_tower():
 )
 def test_graded_window_witness_matches_brute_force(tower):
     window = BoxWindow(2, 1, 0)
-    cert = graded_field_window_check(tower, window).to_json()
-    assert cert["verdict"] == "witness" and len(cert["witness"]) >= 2
-    assert cert == brute_force_window_check(tower, window)
+    cert = graded_field_window_check(tower, window)
+    assert cert.verdict == "witness" and len(cert.witness) >= 2
+    assert_certificate_matches_brute_force(tower, window, cert)
 
 
 def test_graded_window_takes_the_window_degrees_in_window_order():
@@ -445,17 +440,14 @@ def test_graded_window_skips_exactly_the_trivial_combinations():
 
 
 def brute_force_window_check(tower, window):
-    """Oracle for ``graded_field_window_check`` on finite towers: walks every
-    combination of subfunctors in the same order and multiplies every
-    element of each ring piece by every element of the chosen subfunctor."""
+    """Oracle for the verdict of ``graded_field_window_check`` on finite
+    towers: walks every combination of subfunctors in the order of
+    ``itertools.product`` and multiplies every element of each ring piece by
+    every element of the chosen subfunctor; the first graded ideal, neither
+    all-zero nor all-full, is its witness."""
     degrees = [d for d in window.degrees() if d in tower.pieces]
     lattices = [enumerate_subfunctors(tower.pieces[d]) for d in degrees]
-    pairs = [
-        (d1, d2, d1 + d2)
-        for d1 in degrees
-        for d2 in degrees
-        if d1 + d2 in tower.pieces and window.contains(d1 + d2)
-    ]
+    pairs = window_pairs(tower, window, degrees)
     for combo in iproduct(*lattices):
         choice = dict(zip(degrees, combo))
         if all(s.is_zero() for s in combo) or all(s.is_full() for s in combo):
@@ -470,6 +462,58 @@ def brute_force_window_check(tower, window):
             }
             return {"window_partial": True, "verdict": "witness", "witness": witness}
     return {"window_partial": True, "verdict": "no_graded_ideal_in_window"}
+
+
+def window_pairs(tower, window, degrees):
+    """The in-window pairs (d1, d2, d1 + d2) of ``degrees``."""
+    return [
+        (d1, d2, d1 + d2)
+        for d1 in degrees
+        for d2 in degrees
+        if d1 + d2 in tower.pieces and window.contains(d1 + d2)
+    ]
+
+
+def brute_force_ideals(tower, window, degrees):
+    """Every graded ideal of ``tower`` on ``degrees``, found by walking every
+    combination of subfunctors, as the position sets of its nodes: node 2t
+    the top and 2t + 1 the bottom of degree t."""
+    pairs = window_pairs(tower, window, degrees)
+    ideals = []
+    for combo in iproduct(*(enumerate_subfunctors(tower.pieces[d]) for d in degrees)):
+        choice = dict(zip(degrees, combo))
+        if all(products_land_in(tower, d1, d2, choice[d2], choice[d]) for d1, d2, d in pairs):
+            ideals.append([positions for sub in combo for positions in sub._positions])
+    return ideals
+
+
+def assert_certificate_matches_brute_force(tower, window, cert):
+    """The verdict of ``cert`` is that of ``brute_force_window_check``, and a
+    witness is a proper nonzero graded ideal on the window's degrees, in
+    window order: every in-window product lands in it, and it is the
+    intersection of the graded ideals containing some one of its elements,
+    the ideal that element generates."""
+    assert cert.verdict == brute_force_window_check(tower, window)["verdict"]
+    if cert.witness is None:
+        return
+    degrees = [d for d in window.degrees() if d in tower.pieces]
+    assert list(cert.witness) == [d.key() for d in degrees]
+    subs = {}
+    for d in degrees:
+        piece, levels = tower.pieces[d], cert.witness[d.key()]
+        subs[d] = Subfunctor(piece, *(frozenset(map(tuple, levels[level])) for level in ("top", "bottom")))
+    assert not all(sub.is_zero() for sub in subs.values())
+    assert not all(sub.is_full() for sub in subs.values())
+    pairs = window_pairs(tower, window, degrees)
+    assert all(products_land_in(tower, d1, d2, subs[d2], subs[d]) for d1, d2, d in pairs)
+    witness = [positions for d in degrees for positions in subs[d]._positions]
+    ideals = brute_force_ideals(tower, window, degrees)
+
+    def generated(node, x):
+        containing = [ideal for ideal in ideals if x in ideal[node]]
+        return [frozenset.intersection(*(ideal[k] for ideal in containing)) for k in range(len(witness))]
+
+    assert any(generated(node, x) == witness for node, positions in enumerate(witness) for x in positions)
 
 
 # small towers: constant F_2, constant F_3 and F_4 with the Frobenius, with
@@ -528,7 +572,7 @@ SMALL_WINDOW = BoxWindow(2, 1, 1)
 @given(small_towers())
 def test_graded_window_matches_brute_force_on_small_towers(tower):
     cert = graded_field_window_check(tower, SMALL_WINDOW)
-    assert cert.to_json() == brute_force_window_check(tower, SMALL_WINDOW)
+    assert_certificate_matches_brute_force(tower, SMALL_WINDOW, cert)
 
 
 def window_graph(tower, window):
@@ -543,15 +587,7 @@ def window_graph(tower, window):
 @given(small_towers())
 def test_closure_of_each_element_is_the_intersection_of_the_ideals_containing_it(tower):
     degrees, (models, maps) = window_graph(tower, SMALL_WINDOW)
-    pairs = [
-        (d1, d2, d1 + d2) for d1 in degrees for d2 in degrees if d1 + d2 in tower.pieces
-    ]
-    # every graded ideal, found by brute force, as the position sets of its nodes
-    ideals = []
-    for combo in iproduct(*(enumerate_subfunctors(tower.pieces[d]) for d in degrees)):
-        choice = dict(zip(degrees, combo))
-        if all(products_land_in(tower, d1, d2, choice[d2], choice[d]) for d1, d2, d in pairs):
-            ideals.append([positions for sub in combo for positions in sub._positions])
+    ideals = brute_force_ideals(tower, SMALL_WINDOW, degrees)
     for node, model in enumerate(models):
         for x in range(len(model.elements)):
             # the all-full combination is one of them, so the list is not empty
@@ -565,15 +601,19 @@ def test_closure_of_each_element_is_the_intersection_of_the_ideals_containing_it
 
 def assert_decision_matches_every_element_closed_in_full(tower, window):
     """``_every_element_generates``, which stops closures at elements known
-    to generate everything, against closing every element in full."""
+    to generate everything, against closing every element in full: None
+    exactly when every closure is everything, and otherwise the first
+    proper closure, nodes in order and each in ascending position."""
     _, (models, maps) = window_graph(tower, window)
     orders = [len(model.elements) for model in models]
-    every = all(
-        list(map(len, _closure(models, maps, (node, x)))) == orders
-        for node, order in enumerate(orders)
-        for x in range(1, order)
+    closures = (
+        _closure(models, maps, (node, x)) for node, order in enumerate(orders) for x in range(1, order)
     )
-    assert _every_element_generates(models, maps) == every
+    proper = [ideal for ideal in closures if list(map(len, ideal)) != orders]
+    every = not proper
+    found = _every_element_generates(models, maps)
+    assert (found is None) == every
+    assert found == (proper[0] if proper else None)
     return every
 
 
@@ -643,6 +683,18 @@ def test_graded_box_unit_degreewise():
     assert sorted(d.key() for d in prod.support()) == sorted(d.key() for d in m.support())
     for d in m.support():
         assert canonical_levels(prod.pieces[d]) == canonical_levels(m.pieces[d])
+
+
+def test_graded_box_past_the_piece_limit_raises_window_overflow(monkeypatch):
+    monkeypatch.setattr(grading, "MAX_GRADED_PIECES", 1)
+    f2 = constant_green(2, 2).underlying
+    a = GradedMackey(2, {deg2(0, 0): f2, deg2(1, 0): f2})
+    with pytest.raises(WindowOverflow, match=r"has 3 degrees, more than MAX_GRADED_PIECES = 1"):
+        graded_box(a, a)
+    # the limit is checked before any box product is built
+    monkeypatch.setattr(grading, "box", None)
+    with pytest.raises(WindowOverflow):
+        graded_box(a, a)
 
 
 def test_graded_box_minkowski_support():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from functools import partial
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackeybox import boxtensor, grading, green, simplicial
+from mackeybox import boxtensor, grading, green, mackey, simplicial
 from mackeybox.boxtensor import (
     box,
     box_many,
@@ -62,6 +63,7 @@ from mackeybox.grading import BoxWindow, graded_field_window_check, single_degre
 from mackeybox.intlinalg import IntMatrix
 from mackeybox.mackey import (
     MackeyFunctor,
+    Subfunctor,
     _closure,
     burnside,
     canonical_levels,
@@ -363,11 +365,12 @@ def test_f16_nested_to_flat_is_inverted():
     ids=["F256", "F1024"],
 )
 def test_large_galois_fields_are_decided_without_subfunctor_walk(monkeypatch, n, poly, k):
-    def walk(m):
-        raise AssertionError("a field was decided by walking its subfunctors")
+    def walk(model, orbits):
+        raise AssertionError("a field was decided by building a subfunctor lattice")
 
     g = gf2_galois_green(n, poly, k)
-    monkeypatch.setattr(green, "enumerate_subfunctors", walk)
+    # every subfunctor lattice is built by ``_lattice``, through ``enumerate_subfunctors``
+    monkeypatch.setattr(mackey, "_lattice", walk)
     assert g.underlying.top.canonical() == (0, (2,) * k)
     assert is_mackey_field(g).to_json() == {"verdict": "Field"}
     assert classify_field_shape(g).kind == "fixed_point"
@@ -395,13 +398,75 @@ def test_closure_of_units_in_constant_f2():
 
 
 def field_by_subfunctor_walk(g):
-    """Oracle for ``is_mackey_field`` on a commutative finite ``g``: every
-    proper nonzero subfunctor, in the order of ``enumerate_subfunctors``,
-    tested with ``is_ideal``; the first ideal is the witness."""
+    """Oracle for the verdict of ``is_mackey_field`` on a commutative finite
+    ``g``: every proper nonzero subfunctor, in the order of
+    ``enumerate_subfunctors``, tested with ``is_ideal``; the first ideal is
+    its witness."""
     for sub in enumerate_subfunctors(g.underlying):
         if not sub.is_zero() and not sub.is_full() and is_ideal(g, sub)[0]:
             return FieldVerdict(False, sub)
     return FieldVerdict(True, None)
+
+
+def assert_proper_nonzero_ideal(g, sub):
+    assert not sub.is_zero() and not sub.is_full()
+    assert is_ideal(g, sub) == (True, "")
+
+
+def assert_principal_ideal_witness(g, witness):
+    """``witness`` is a proper nonzero ideal of ``g`` (``is_ideal``, and the
+    membership oracle ``escaping_sides``), and the intersection of the
+    ideals containing some one of its elements: the ideal that element
+    generates.  The ideals are every subfunctor of ``enumerate_subfunctors``
+    that ``is_ideal`` accepts."""
+    assert_proper_nonzero_ideal(g, witness)
+    assert not escaping_sides(g, witness)
+    positions = witness._positions
+    # the positions it was built with are those of its element sets
+    assert Subfunctor(g.underlying, witness.top_elements, witness.bottom_elements)._positions == positions
+    ideals = [s._positions for s in enumerate_subfunctors(g.underlying) if is_ideal(g, s)[0]]
+
+    def generated(level, x):
+        containing = [ideal for ideal in ideals if x in ideal[level]]
+        return tuple(frozenset.intersection(*(ideal[k] for ideal in containing)) for k in (0, 1))
+
+    assert any(generated(level, x) == positions for level in (0, 1) for x in positions[level])
+
+
+def assert_field_verdict_matches_walk(g):
+    """The verdict of ``is_mackey_field`` is that of the subfunctor walk, and
+    a non-field's witness is a principal proper nonzero ideal."""
+    verdict = is_mackey_field(g)
+    assert verdict.is_field == field_by_subfunctor_walk(g).is_field
+    assert verdict.to_json()["verdict"] == ("Field" if verdict.is_field else "NotField")
+    if verdict.is_field:
+        assert verdict.witness is None
+    else:
+        assert_principal_ideal_witness(g, verdict.witness)
+
+
+def test_trivial_action_f256_is_not_a_field_within_a_second():
+    # F_256 with the trivial action: every subgroup of the bottom (Z/2)^8 is
+    # stable, 417,199 of them, so the subfunctor walk took over a minute;
+    # the first proper closure is the witness
+    g = gf2_galois_green(8, 0b100011101, 8)
+    start = time.perf_counter()
+    verdict = is_mackey_field(g)
+    elapsed = time.perf_counter() - start
+    assert not verdict.is_field
+    assert_proper_nonzero_ideal(g, verdict.witness)
+    assert elapsed < 1.0
+
+
+def test_trivial_action_f64_window_witness_is_an_ideal():
+    # a single-degree window: its graded ideals are the ideals of the ring
+    g = gf2_galois_green(6, 0b1000011, 6)
+    m = g.underlying
+    cert = graded_field_window_check(single_degree_tower(g), BoxWindow(2, 0, 0))
+    assert cert.verdict == "witness"
+    (levels,) = cert.witness.values()
+    witness = Subfunctor(m, frozenset(map(tuple, levels["top"])), frozenset(map(tuple, levels["bottom"])))
+    assert_proper_nonzero_ideal(g, witness)
 
 
 def polynomial_ring(q, low):
@@ -489,14 +554,13 @@ def finite_commutative_greens(draw):
 @settings(max_examples=60, deadline=None)
 @given(finite_commutative_greens())
 def test_field_verdict_matches_subfunctor_walk(g):
-    assert is_mackey_field(g).to_json() == field_by_subfunctor_walk(g).to_json()
+    assert_field_verdict_matches_walk(g)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_constant_field_verdicts_match_subfunctor_walk(p, n):
-    g = constant_green(p, n)
-    assert is_mackey_field(g).to_json() == field_by_subfunctor_walk(g).to_json()
+    assert_field_verdict_matches_walk(constant_green(p, n))
 
 
 def test_field_check_guards():
