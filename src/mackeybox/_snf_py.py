@@ -37,6 +37,12 @@ def _col_combine(m, c1, c2, a, b, c, d):
         row[c2] = c * u + d * v
 
 
+def _negate(D, U, i):
+    # row i of D and of U times -1, a unimodular row operation
+    D[i] = [-x for x in D[i]]
+    U[i] = [-x for x in U[i]]
+
+
 def smith_normal_form(rows, nrows, ncols, with_v=True):
     """Return (U, D, V) as lists of lists with U*A*V = D in Smith form."""
     D = [list(r) for r in rows]
@@ -101,10 +107,7 @@ def smith_normal_form(rows, nrows, ncols, with_v=True):
     rank = t
     for i in range(rank):
         if D[i][i] < 0:
-            for j in range(ncols):
-                D[i][j] = -D[i][j]
-            for j in range(nrows):
-                U[i][j] = -U[i][j]
+            _negate(D, U, i)
 
     # Enforce the divisibility chain d_1 | d_2 | ... (zeros already trail).
     changed = True
@@ -125,13 +128,7 @@ def smith_normal_form(rows, nrows, ncols, with_v=True):
                 _col_combine(D, i, i + 1, 1, 0, -q, 1)
                 _col_combine(V, i, i + 1, 1, 0, -q, 1)
                 if D[i][i] < 0:
-                    for j in range(ncols):
-                        D[i][j] = -D[i][j]
-                    for j in range(nrows):
-                        U[i][j] = -U[i][j]
+                    _negate(D, U, i)
                 if D[i + 1][i + 1] < 0:
-                    for j in range(ncols):
-                        D[i + 1][j] = -D[i + 1][j]
-                    for j in range(nrows):
-                        U[i + 1][j] = -U[i + 1][j]
+                    _negate(D, U, i + 1)
     return U, D, V if with_v else None

@@ -497,7 +497,9 @@ class FiniteModel:
     """Coordinates for a finite presented group.
 
     ``to_canonical`` maps a generator-coordinate vector to its tuple of
-    residues in the cyclic decomposition; ``from_canonical`` lifts back.
+    residues in the cyclic decomposition; ``from_canonical`` lifts back
+    through ``u_inv``, read off the Hermite basis of [u | I]
+    (``unimodular_inverse``).
     The elements are numbered once: ``elements`` lists their canonical
     coordinates and ``index`` maps coordinates back to positions.
     """
@@ -660,10 +662,9 @@ def enumerate_subgroups(model: FiniteModel):
 
 
 def subgroup_presentation(model: FiniteModel, elements):
-    """(P, incl) presenting the subgroup spanned by the given elements."""
-    gens = sorted(elements)
-    cols = [model.from_canonical(c) for c in gens]
-    mat = IntMatrix.from_columns(cols, model.pres.num_generators)
+    """(P, incl) presenting the subgroup spanned by the given elements on the
+    rows of its Hermite key (``subgroup_key``): they span the subgroup plus
+    the relations, so P has at most ``num_generators`` generators."""
+    mat = IntMatrix.from_columns(subgroup_key(model, elements), model.pres.num_generators)
     pres = present_quotient(mat, model.pres.relations.transpose())
-    incl = AbHom(pres, model.pres, mat)
-    return pres, incl
+    return pres, AbHom(pres, model.pres, mat)

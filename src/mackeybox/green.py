@@ -576,8 +576,10 @@ def ideal_generated_by(m: MackeyFunctor, mult: BilinearPairing, level, element_v
     ring_top = IntMatrix.identity(m.top.num_generators).rows
     ring_bot = IntMatrix.identity(m.bottom.num_generators).rows
 
+    # a key spans its rows plus the relations, so it is its own key: each
+    # round keys only the grown generating sets, and compares with the last
+    before = (span_key(m.top, top_gens), span_key(m.bottom, bot_gens))
     while True:
-        before = (span_key(m.top, top_gens), span_key(m.bottom, bot_gens))
         new_top = list(top_gens)
         new_bot = list(bot_gens)
         for s in bot_gens:
@@ -589,11 +591,11 @@ def ideal_generated_by(m: MackeyFunctor, mult: BilinearPairing, level, element_v
             new_bot.append(m.res(s))
             for r in ring_top:
                 new_top.append(_bilinear_vec(mult.f_top.matrix, r, s))
-        top_gens = [list(r) for r in span_key(m.top, new_top)]
-        bot_gens = [list(r) for r in span_key(m.bottom, new_bot)]
-        after = (span_key(m.top, top_gens), span_key(m.bottom, bot_gens))
+        after = (span_key(m.top, new_top), span_key(m.bottom, new_bot))
+        top_gens, bot_gens = ([list(r) for r in key] for key in after)
         if after == before:
             return top_gens, bot_gens
+        before = after
 
 
 def subgroup_is_full(pres, rows):

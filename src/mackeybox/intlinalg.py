@@ -8,7 +8,6 @@ cached nowhere: a caller that reads one form twice keeps it itself, and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, index, sub
 
 from . import _snf_py
@@ -250,33 +249,17 @@ def kernel_basis(mat):
 
 
 def unimodular_inverse(mat):
-    """Inverse of a unimodular integer matrix (exact, via fractions)."""
+    """Inverse of a unimodular integer matrix U, read off the Hermite basis of
+    [U | I].  That row lattice holds (x U, x) for every integer row x, and
+    the only vector in it whose left half is e_i is (e_i, e_i U^-1), so its
+    Hermite basis is [I | U^-1] exactly when U is unimodular."""
     n = mat.nrows
     if n != mat.ncols:
         raise ValueError("not square")
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(mat.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = a[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(tuple(row))
-    return _trusted(tuple(out), n)
+    basis = hermite_row_basis(mat.hstack(IntMatrix.identity(n)).rows, 2 * n)
+    if any(row[i] != 1 for i, row in enumerate(basis)):
+        raise ValueError("matrix is not unimodular")
+    return _trusted(tuple(row[n:] for row in basis), n)
 
 
 def hermite_row_basis(rows, ncols):
@@ -307,7 +290,7 @@ def hermite_row_basis(rows, ncols):
                 break
             a, b = prow[col], row[col]
             if b % a:
-                g, s, t = _xgcd(a, b)
+                g, s, t = _snf_py._ext_gcd(a, b)
                 a, b = a // g, b // g
                 echelon[col] = [s * x + t * y for x, y in zip(prow, row)]
                 row = [b * x - a * y for x, y in zip(prow, row)]
@@ -328,13 +311,3 @@ def hermite_row_basis(rows, ncols):
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
     return tuple(tuple(r) for r in basis)
-
-
-def _xgcd(a, b):
-    """(g, s, t) with g = s * a + t * b = gcd(a, b) > 0, for a, b not both 0."""
-    s0, t0, s1, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, t0, s1, t1 = s1, t1, s0 - q * s1, t0 - q * t1
-    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)

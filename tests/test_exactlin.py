@@ -29,12 +29,14 @@ from mackeybox.exactlin import (
     quotient_by_subgroup,
     solve_membership,
     subgroup_key,
+    subgroup_presentation,
     tensor,
     zero_group,
     zero_hom,
 )
 from mackeybox.green import f4_frobenius_green
 from mackeybox.intlinalg import IntMatrix, smith_normal_form, smith_u_diagonal
+from test_intlinalg import fraction_inverse
 
 
 def canon(pres):
@@ -586,6 +588,41 @@ RANK3_EXAMPLES = [
 def test_enumerate_subgroups_matches_brute_force(pres):
     model = finite_model(pres)
     assert enumerate_subgroups(model) == brute_force_subgroups(model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_presentations())
+@example(RANK3_EXAMPLES[0])
+@example(RANK3_EXAMPLES[1])
+def test_finite_model_inverse_matches_fraction_reference(pres):
+    model = finite_model(pres)
+    assert model.u_inv.rows == fraction_inverse(model.u)
+
+
+def every_element_presentation(model, elements):
+    """The earlier subgroup presentation, a reference: one generator per
+    element of the subgroup, its lift in sorted order."""
+    cols = [model.from_canonical(c) for c in sorted(elements)]
+    mat = IntMatrix.from_columns(cols, model.pres.num_generators)
+    return present_quotient(mat, model.pres.relations.transpose())
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_presentations())
+@example(RANK3_EXAMPLES[0])
+@example(RANK3_EXAMPLES[1])
+def test_subgroup_presentation_on_hermite_key(pres):
+    # each subgroup is presented on at most num_generators generators, with
+    # the invariants of the every-element presentation, and its inclusion
+    # is onto exactly the subgroup
+    model = finite_model(pres)
+    for sub in enumerate_subgroups(model):
+        p, incl = subgroup_presentation(model, sub)
+        assert p.num_generators <= pres.num_generators
+        assert p.canonical() == every_element_presentation(model, sub).canonical()
+        image = {model.to_canonical(incl(finite_model(p).from_canonical(c)))
+                 for c in finite_model(p).elements}
+        assert image == sub
 
 
 def gaussian_binomial(n, k, p):

@@ -458,6 +458,23 @@ def test_trivial_action_f256_is_not_a_field_within_a_second():
     assert elapsed < 1.0
 
 
+def test_trivial_action_f1024_witness_is_presented_on_its_hermite_key():
+    # x^10 + x^3 + 1 with the trivial action: the witness's bottom has 1,024
+    # elements, and each level is presented on the rows of its Hermite key,
+    # at most 10 generators, where one generator per element made to_json
+    # take 47 s
+    verdict = is_mackey_field(gf2_galois_green(10, 0b10000001001, 10))
+    start = time.perf_counter()
+    out = verdict.to_json()
+    elapsed = time.perf_counter() - start
+    assert out["verdict"] == "NotField"
+    assert out["witness"]["levels"] == [[], [2] * 10]
+    include = verdict.witness.include
+    assert include.f_top.source.num_generators <= 10
+    assert include.f_bot.source.num_generators <= 10
+    assert elapsed < 1.0
+
+
 def test_trivial_action_f64_window_witness_is_an_ideal():
     # a single-degree window: its graded ideals are the ideals of the ring
     g = gf2_galois_green(6, 0b1000011, 6)

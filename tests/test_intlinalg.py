@@ -163,6 +163,80 @@ def test_unimodular_inverse():
     m = IntMatrix([[1, 2], [1, 3]])
     inv = unimodular_inverse(m)
     assert (m @ inv) == IntMatrix.identity(2)
+    assert unimodular_inverse(IntMatrix.zeros(0, 0)) == IntMatrix.zeros(0, 0)
+    with pytest.raises(ValueError, match="not square"):
+        unimodular_inverse(IntMatrix([[1, 0]]))
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(IntMatrix(rows))
+
+
+def fraction_inverse(mat):
+    """The earlier rational Gauss-Jordan inverse, a reference for
+    ``unimodular_inverse``: the inverse as a tuple of row tuples, or
+    ValueError for a singular or non-unimodular matrix."""
+    n = mat.nrows
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat.rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if any(x.denominator != 1 for row in a for x in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in a)
+
+
+@st.composite
+def near_unimodular(draw):
+    """A product of elementary row operations (row i += c * row j), swaps
+    and sign flips on 0 to 8 rows, and three times in four a perturbation
+    of it: one entry moved (unimodular or not), one row made a multiple of
+    another (singular), or one row scaled by 2, -2 or 3 (|det| >= 2)."""
+    n = draw(st.integers(0, 8))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if not n:
+        return rows
+    index = st.integers(0, n - 1)
+    moves = st.tuples(st.sampled_from("+sn"), index, index, st.integers(-3, 3))
+    for kind, i, j, c in draw(st.lists(moves, max_size=24)):
+        if kind == "+" and i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "s":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "n":
+            rows[i] = [-x for x in rows[i]]
+    kind, i, j = draw(st.sampled_from(("none", "entry", "multiple", "scaled"))), draw(index), draw(index)
+    if kind == "entry":
+        rows[i][j] += draw(st.integers(-2, 2))
+    elif kind == "multiple":
+        rows[i] = [draw(st.integers(-2, 2)) * x for x in rows[j]] if i != j else [0] * n
+    elif kind == "scaled":
+        rows[i] = [draw(st.sampled_from((2, -2, 3))) * x for x in rows[i]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_unimodular())
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[1, 1], [1, 1]])
+@example([[3, 0, 0], [0, 1, 0], [0, 0, 1]])
+def test_unimodular_inverse_matches_fraction_reference(rows):
+    mat = IntMatrix(rows, len(rows))
+    try:
+        expected = fraction_inverse(mat)
+    except ValueError:
+        with pytest.raises(ValueError):
+            unimodular_inverse(mat)
+    else:
+        assert unimodular_inverse(mat).rows == expected
 
 
 def test_hermite_key_canonical():
