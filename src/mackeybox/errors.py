@@ -6,12 +6,13 @@ class MackeyboxError(Exception):
 
 
 class NotAnInteger(MackeyboxError, TypeError):
-    """A matrix entry or scale factor that is not an exact integer; ``row``
-    and ``column`` locate a matrix entry and are None for a scale factor."""
+    """A value that is not an exact integer; ``row`` and ``column`` locate a
+    matrix entry and are None for any other value, such as a scale factor
+    or a degree's multiplicity."""
 
     def __init__(self, value, row=None, column=None):
         self.value, self.row, self.column = value, row, column
-        where = "scale factor" if row is None else f"entry at row {row}, column {column}"
+        where = "value" if row is None else f"entry at row {row}, column {column}"
         super().__init__(f"{where} is not an integer: {value!r}")
 
 
@@ -135,3 +136,12 @@ class NotAMackeyMap(MackeyboxError, ValueError):
         self.failures = tuple(failures)
         witnessed = "; ".join(f"{c.name} ({c.witness})" for c in self.failures)
         super().__init__(f"not a map of Mackey functors: {witnessed}")
+
+
+class ShapeMismatch(MackeyboxError, ValueError):
+    """A vector whose length is not the one its matrix needs; ``expected`` and
+    ``actual`` are the two lengths."""
+
+    def __init__(self, what, expected, actual):
+        self.expected, self.actual = expected, actual
+        super().__init__(f"{what} has length {actual}, expected {expected}")

@@ -494,14 +494,13 @@ def vector_tensor(x, y):
 
 @dataclass(frozen=True)
 class FiniteModel:
-    """Coordinates for a finite presented group.
-
-    ``to_canonical`` maps a generator-coordinate vector to its tuple of
-    residues in the cyclic decomposition; ``from_canonical`` lifts back
-    through ``u_inv``, read off the Hermite basis of [u | I]
-    (``unimodular_inverse``).
-    The elements are numbered once: ``elements`` lists their canonical
-    coordinates and ``index`` maps coordinates back to positions.
+    """A finite presented group whose elements are positions: the mixed-radix
+    numbers whose digits, the last fastest, are the residues (``elements``)
+    in the cyclic decomposition Z/d_1 x ... x Z/d_n (``moduli``, 1s
+    included), so the zero is position 0.  ``u`` maps generator coordinates
+    to residues, and ``u_inv``, read off the Hermite basis of [u | I]
+    (``unimodular_inverse``), lifts back.  Only this class knows the coding:
+    ``position``, ``lift``, ``plus`` and ``join`` take and give positions.
     """
 
     pres: FGAbPresentation
@@ -518,27 +517,71 @@ class FiniteModel:
 
     @cached_property
     def elements(self):
-        """Every element's canonical coordinates, in lexicographic order.
-        Built on first use and kept in the instance ``__dict__``, outside
-        equality and hashing, like ``index``."""
+        """Every element's residues, by position.  Built on first use and
+        kept in the instance ``__dict__``, outside equality and hashing; read
+        only to print coordinates and to ``lift``."""
         return tuple(product(*(range(d) for d in self.moduli)))
 
-    @cached_property
-    def index(self):
-        """Canonical coordinates -> position in ``elements``."""
-        return {c: i for i, c in enumerate(self.elements)}
+    def position(self, vec):
+        """The position of the element with generator coordinates ``vec``."""
+        x = 0
+        for c, d in zip(self.to_canonical(vec), self.moduli):
+            x = x * d + c
+        return x
 
-    def add(self, c1, c2):
-        return tuple((a + b) % d for a, b, d in zip(c1, c2, self.moduli))
+    def lift(self, x):
+        """Generator coordinates of the element at position ``x``."""
+        return self.from_canonical(self.elements[x])
 
-    def zero(self):
-        return (0,) * len(self.moduli)
+    def plus(self, x, y):
+        """The position of the sum of the elements at positions x and y,
+        added digit by digit modulo each factor."""
+        total, w = 0, 1  # w: the place value of the digit of Z/d
+        for d in reversed(self.moduli):
+            total += (x // w + y // w) % d * w
+            w *= d
+        return total
+
+    def join(self, subgroup, z, stop=None):
+        """S + <z> as a new set of positions, for the subgroup S given by its
+        positions, by walking the cosets S + z, S + 2z, ... until one falls
+        back into the join.  None as soon as ``stop(coset)`` holds for a new
+        coset, given as a list of positions."""
+        plus, joined, coset = self.plus, set(subgroup), list(subgroup)
+        while True:
+            coset = [plus(e, z) for e in coset]
+            if coset[0] in joined:
+                return joined
+            if stop is not None and stop(coset):
+                return None
+            joined.update(coset)
 
     def order(self):
         n = 1
         for d in self.moduli:
             n *= d
         return n
+
+
+def _image_table(matrix: IntMatrix, model: FiniteModel, target_model: FiniteModel):
+    """Position in ``target_model`` of ``matrix @ x`` for each element x of
+    ``model``, by position.  The map is a homomorphism, so the table is
+    built from the images of the cyclic generators of ``model``: the
+    positions come in the order of their digits, the last fastest, and
+    each costs one addition."""
+    plus = target_model.plus
+    images = [0]
+    for k, d in enumerate(model.moduli):
+        if d == 1:
+            continue
+        step = target_model.position(_apply(matrix, model.u_inv.column(k)))
+        grown = []
+        for y in images:
+            for _ in range(d):
+                grown.append(y)
+                y = plus(y, step)
+        images = grown
+    return images
 
 
 def finite_model(pres: FGAbPresentation) -> FiniteModel:
@@ -553,10 +596,18 @@ def span_key(pres: FGAbPresentation, rows):
     return hermite_row_basis(list(rows) + list(pres.relations.rows), pres.num_generators)
 
 
-def subgroup_key(model: FiniteModel, elements):
-    """``span_key`` of the subgroup generated by the given canonical
-    coordinates, such as its elements or any generating set of it."""
-    return span_key(model.pres, [model.from_canonical(c) for c in elements])
+def subgroup_key(model: FiniteModel, positions):
+    """``span_key`` of the subgroup generated by the elements at the given
+    positions, such as its elements or any generating set of it.  Only a
+    generating set is keyed: the positions in ascending order, each kept
+    when it lies outside the span of those kept before it (``join``), so at
+    most log2 of the order many rows."""
+    span, kept = {0}, []
+    for x in sorted(positions):
+        if x not in span:
+            span = model.join(span, x)
+            kept.append(model.lift(x))
+    return span_key(model.pres, kept)
 
 
 def _lattice(model: FiniteModel, orbits):
@@ -568,44 +619,39 @@ def _lattice(model: FiniteModel, orbits):
     g(g(x)), ... of an endomorphism g it is the lattice of g-stable
     subgroups, since each is a sum of cyclic submodules.
 
-    The distinct spans are numbered as atoms A_0, A_1, ...  Each set S has
-    one canonical sequence: A_i1 with i1 the least atom in S, then A_i2
-    with i2 the least atom in S not in A_i1, and so on, with rising indices
-    (canonical augmentation: McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998).  The walk joins S + A_i only for i above the
-    last index of S's sequence, and drops the join as soon as an atom below
-    i turns up in it but not in S, so each set is built exactly once, from
-    the prefix of its sequence.  Every set is a sum of stable spans, so it
-    contains an atom exactly when it contains the atom's first orbit element.
-    Joining S + A_i walks the cosets S + x, S + 2x, ... through a
-    translation table e -> e + x until one falls back into the join, so it
-    costs one lookup per element of the result.  The Hermite key of a join
-    is the Hermite row basis of S's key, which spans S plus the relations,
-    and of the generators that were not yet in S; it serves only to sort.
+    The distinct spans (``FiniteModel.join``) are numbered as atoms A_0, A_1,
+    ...  Each set S has one canonical sequence: A_i1 with i1 the least atom
+    in S, then A_i2 with i2 the least atom in S not in A_i1, and so on, with
+    rising indices (canonical augmentation: McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).  The walk joins S + A_i only for i
+    above the last index of S's sequence, and drops the join as soon as an
+    atom below i turns up in it but not in S, so each set is built exactly
+    once, from the prefix of its sequence.  Every set is a sum of stable
+    spans, so it contains an atom exactly when it contains the atom's first
+    orbit element.  Joining S + A_i walks the cosets S + x, S + 2x, ...
+    through a translation table e -> e + x (``FiniteModel.plus``) until one
+    falls back into the join, so it costs one lookup per element of the
+    result.  The Hermite key of a join is the Hermite row basis of S's key,
+    which spans S plus the relations, and of the lifts of the generators
+    that were not yet in S; it serves only to sort.
     """
-    elements, index, add = model.elements, model.index, model.add
-    origin = index[model.zero()]
+    join, plus, lift, order = model.join, model.plus, model.lift, model.order()
     atoms = {}
     for orbit in orbits:
-        # each orbit is spanned once, by closure under adding its elements;
         # only the generators of distinct spans get a translation table
-        span, todo = {origin}, [origin]
-        while todo:
-            e = elements[todo.pop()]
-            for x in orbit:
-                y = index[add(e, elements[x])]
-                if y not in span:
-                    span.add(y)
-                    todo.append(y)
+        span = {0}
+        for x in orbit:
+            if x not in span:
+                span = join(span, x)
         atoms.setdefault(frozenset(span), orbit)
     atoms = list(atoms.values())
-    rank = [len(atoms)] * len(elements)  # position -> index of the atom it is first of
+    rank = [len(atoms)] * order  # position -> index of the atom it is first of
     for i, orbit in enumerate(atoms):
         rank[orbit[0]] = i
     tables = {}
     lifts = {}
 
-    def join(s, i):
+    def join_atom(s, i):
         """(S + A_i, the lifts of the generators that were not yet in S),
         or None as soon as the join meets the first element of an atom
         below i: the join is then built from its canonical parent."""
@@ -616,8 +662,8 @@ def _lattice(model: FiniteModel, orbits):
                 continue
             table = tables.get(x)
             if table is None:
-                table = tables[x] = [index[add(e, elements[x])] for e in elements]
-                lifts[x] = model.from_canonical(elements[x])
+                table = tables[x] = [plus(e, x) for e in range(order)]
+                lifts[x] = lift(x)
             used.append(lifts[x])
             coset = joined
             while True:
@@ -632,7 +678,7 @@ def _lattice(model: FiniteModel, orbits):
         return frozenset(joined), used
 
     n = model.pres.num_generators
-    zero = frozenset([origin])
+    zero = frozenset([0])
     keys = {zero: hermite_row_basis(model.pres.relations.rows, n)}
     frontier = [(zero, -1)]  # (set, last index of its canonical sequence)
     while frontier:
@@ -641,7 +687,7 @@ def _lattice(model: FiniteModel, orbits):
             for i in range(last + 1, len(atoms)):
                 if atoms[i][0] in s:
                     continue
-                found = join(s, i)
+                found = join_atom(s, i)
                 if found is not None:
                     joined, used = found
                     keys[joined] = hermite_row_basis(keys[s] + tuple(used), n)
@@ -657,14 +703,14 @@ def enumerate_subgroups(model: FiniteModel):
     (``_lattice``), translated from element positions to coordinates.
     """
     elements = model.elements
-    orbits = [(x,) for x in range(len(elements))]
+    orbits = [(x,) for x in range(model.order())]
     return [frozenset(elements[x] for x in s) for s in _lattice(model, orbits)]
 
 
-def subgroup_presentation(model: FiniteModel, elements):
-    """(P, incl) presenting the subgroup spanned by the given elements on the
+def subgroup_presentation(model: FiniteModel, positions):
+    """(P, incl) presenting the subgroup spanned by the given positions on the
     rows of its Hermite key (``subgroup_key``): they span the subgroup plus
     the relations, so P has at most ``num_generators`` generators."""
-    mat = IntMatrix.from_columns(subgroup_key(model, elements), model.pres.num_generators)
+    mat = IntMatrix.from_columns(subgroup_key(model, positions), model.pres.num_generators)
     pres = present_quotient(mat, model.pres.relations.transpose())
     return pres, AbHom(pres, model.pres, mat)

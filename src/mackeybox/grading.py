@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .boxtensor import box
-from .errors import (EmptyWindow, FactorMismatch, InfiniteGroup, UnclassifiedField,
-                     WindowOverflow)
+from .errors import (EmptyWindow, FactorMismatch, InfiniteGroup, NotAnInteger,
+                     UnclassifiedField, WindowOverflow)
 from .green import (
     FieldShape,
     GreenFunctor,
@@ -42,6 +42,10 @@ class RODegree:
     m: tuple
 
     def __post_init__(self):
+        require_prime(self.prime)
+        for x in (self.a, *self.m):
+            if type(x) is not int:  # a bool is not a multiplicity
+                raise NotAnInteger(x)
         want = 1 if self.prime == 2 else (self.prime - 1) // 2
         if len(self.m) != want:
             raise ValueError(f"need {want} nontrivial multiplicities for p={self.prime}")
@@ -116,7 +120,7 @@ class BoxWindow:
         require_prime(self.prime)
         for name in ("a_bound", "m_bound"):
             bound = getattr(self, name)
-            if not isinstance(bound, int) or bound < 0:
+            if type(bound) is not int or bound < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
 
     def degrees(self):
@@ -257,7 +261,7 @@ def graded_field_window_check(tower: GradedGreenTower, window) -> PartialCertifi
     if ideal is None:
         return PartialCertificate(True, "no_graded_ideal_in_window", None)
     # node 2t is the top and node 2t + 1 the bottom of degree t
-    coordinates = [sorted(list(model.elements[x]) for x in positions)
+    coordinates = [[list(model.elements[x]) for x in sorted(positions)]
                    for model, positions in zip(models, ideal)]
     witness = {
         d.key(): {"top": coordinates[2 * t], "bottom": coordinates[2 * t + 1]}

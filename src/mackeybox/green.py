@@ -27,6 +27,7 @@ from .exactlin import (
     AbHom,
     FGAbPresentation,
     _apply,
+    _image_table,
     cyclic_group,
     finite_model,
     first_nonzero_column,
@@ -45,8 +46,6 @@ from .mackey import (
     _every_element_generates,
     _fixed_points,
     _hom_eq_check,
-    _image_table,
-    _subfunctor_at,
     burnside,
     constant,
     j_top,
@@ -399,8 +398,8 @@ def is_ideal(g: GreenFunctor, sub: Subfunctor):
         return True, ""
     level, i, x = escape
     pres, mult = g._levels()[level]
-    model, n = finite_model(pres), pres.num_generators
-    e, y = IntMatrix.identity(n).rows[i % n], model.from_canonical(model.elements[x])
+    n = pres.num_generators
+    e, y = IntMatrix.identity(n).rows[i % n], finite_model(pres).lift(x)
     prod = _bilinear_vec(mult, e, y) if i < n else _bilinear_vec(mult, y, e)
     return False, f"{('top', 'bottom')[level]} product {list(prod)} escapes the subfunctor"
 
@@ -411,11 +410,12 @@ def _first_escape(g: GreenFunctor, sub: Subfunctor):
 
     Levels run top then bottom (0, 1), tables in the order of
     ``GreenFunctor._ideal_tables`` (left products, then right ones), and
-    positions of ``sub`` (``Subfunctor._positions``) in ascending order,
-    which is the order of sorted canonical coordinates.  Each map is
+    positions of ``sub`` in ascending order, which is the order of sorted
+    canonical coordinates.  Each map is
     tabulated once per ring, so the test is one lookup per position.
     """
-    for level, (tables, positions) in enumerate(zip(g._ideal_tables, sub._positions)):
+    levels = (sub.top_positions, sub.bottom_positions)
+    for level, (tables, positions) in enumerate(zip(g._ideal_tables, levels)):
         ordered = sorted(positions)
         for i, table in enumerate(tables):
             x = next((x for x in ordered if table[x] not in positions), None)
@@ -468,11 +468,11 @@ def is_mackey_field(g: GreenFunctor) -> FieldVerdict:
     top, bottom, res, tr, weyl = m._tables
     left_top, left_bottom = g._left_tables
     maps = [[(1, [res]), (0, left_top)], [(0, [tr]), (1, [weyl] + left_bottom)]]
-    one = (0, top.index[top.to_canonical(g.one_top())])
+    one = (0, top.position(g.one_top()))
     ideal = _every_element_generates([top, bottom], maps, one)
     if ideal is None:
         return FieldVerdict(True, None)
-    return FieldVerdict(False, _subfunctor_at(m, *ideal))
+    return FieldVerdict(False, Subfunctor(m, *ideal))
 
 
 @dataclass(frozen=True)
@@ -504,7 +504,7 @@ def top_level_is_field(g: GreenFunctor) -> bool:
     if not m.top.is_finite():
         raise InfiniteGroup("top level must be finite")
     model = finite_model(m.top)
-    one = model.index[model.to_canonical(g.one_top())]
+    one = model.position(g.one_top())
     if one == 0:  # the zero is position 0, and the zero ring is not a field
         return False
     products = _product_tables(g.mult.f_top.matrix, m.top, m.top, m.top)
@@ -543,7 +543,7 @@ def classify_field_shape(g: GreenFunctor) -> FieldShape:
         raise InfiniteGroup("shape classification requires finite levels")
     top, _, res, _, weyl = m._tables
     image = set(res)
-    if len(image) != len(top.elements):
+    if len(image) != top.order():
         raise UnclassifiableShape("restriction is not injective")
     if image != {x for x, y in enumerate(weyl) if x == y}:
         raise UnclassifiableShape("restriction image differs from the fixed subgroup")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import add, index, sub
 
 from . import _snf_py
-from .errors import NotAnInteger
+from .errors import NotAnInteger, ShapeMismatch
 
 # perfbench reads these two names (its tracer and its environment line); the
 # library has one Smith-form kernel, so there is nothing compiled to report.
@@ -216,13 +216,18 @@ def solve(mat, targets):
     """One integer solution x of mat @ x = t for each target t, or None
     where there is none, from one Smith form of ``mat``.
 
-    Each target is a flat tuple of length ``mat.nrows``.
+    Each target is a flat sequence of ``mat.nrows`` exact integers: one of
+    another length raises ``ShapeMismatch``, and a non-integer entry i of
+    target t raises ``NotAnInteger`` at row i, column t.
     """
     u, d, v = smith_normal_form(mat)
     k = min(mat.nrows, mat.ncols)
     diagonal = [d.rows[i][i] if i < k else 0 for i in range(mat.nrows)]
     solutions = []
-    for target in targets:
+    for t, target in enumerate(targets):
+        if len(target) != mat.nrows:
+            raise ShapeMismatch(f"target {t}", mat.nrows, len(target))
+        target = [_exact(x, i, t) for i, x in enumerate(target)]
         w = [sum(a * b for a, b in zip(row, target)) for row in u.rows]
         support = []  # the nonzero entries (j, y_j) of y with D y = w, at most rank many
         for i, (wi, di) in enumerate(zip(w, diagonal)):

@@ -18,6 +18,7 @@ from .errors import (IllFormedHom, InfiniteGroup, LevelMismatch, NotAComplex, No
 from .exactlin import (
     AbHom,
     FGAbPresentation,
+    _image_table,
     _lattice,
     _same_ends,
     _unchecked,
@@ -39,7 +40,7 @@ from .intlinalg import IntMatrix
 
 
 def _is_prime(p):
-    if p < 2:
+    if not isinstance(p, int) or p < 2:
         return False
     d = 2
     while d * d <= p:
@@ -366,23 +367,34 @@ def mackey_direct_sum(a: MackeyFunctor, b: MackeyFunctor):
 class Subfunctor:
     """A subfunctor of ``parent``, held as its element sets.
 
-    ``top_elements`` and ``bottom_elements`` are canonical coordinates in the
-    parent's finite models.  Closure tests and ideal tests read only these
-    sets, as positions (``_positions``, which ``_subfunctor_at`` fills in
-    as it builds a subfunctor from them); the presented subfunctor and its
-    inclusion are built on first use of ``include`` or ``functor`` and kept.
+    ``top_positions`` and ``bottom_positions`` are the positions of its
+    elements in the parent's finite models (``FiniteModel``); closure and
+    ideal tests read only these sets.  ``top_elements`` and
+    ``bottom_elements`` give the same elements as canonical coordinates.
+    The presented subfunctor and its inclusion are built on first use of
+    ``include`` or ``functor`` and kept.
     """
 
     parent: MackeyFunctor
-    top_elements: frozenset
-    bottom_elements: frozenset
+    top_positions: frozenset
+    bottom_positions: frozenset
+
+    @property
+    def top_elements(self):
+        elements = finite_model(self.parent.top).elements
+        return frozenset(elements[x] for x in self.top_positions)
+
+    @property
+    def bottom_elements(self):
+        elements = finite_model(self.parent.bottom).elements
+        return frozenset(elements[x] for x in self.bottom_positions)
 
     @cached_property
     def include(self) -> MackeyMap:
         """The inclusion of the presented subfunctor into ``parent``."""
         m = self.parent
-        s_top, incl_top = subgroup_presentation(finite_model(m.top), self.top_elements)
-        s_bot, incl_bot = subgroup_presentation(finite_model(m.bottom), self.bottom_elements)
+        s_top, incl_top = subgroup_presentation(finite_model(m.top), self.top_positions)
+        s_bot, incl_bot = subgroup_presentation(finite_model(m.bottom), self.bottom_positions)
         tr = factor_through_injection(m.tr.compose(incl_bot), incl_top)
         res = factor_through_injection(m.res.compose(incl_top), incl_bot)
         weyl = factor_through_injection(m.weyl.compose(incl_bot), incl_bot)
@@ -393,57 +405,13 @@ class Subfunctor:
     def functor(self) -> MackeyFunctor:
         return self.include.source
 
-    @cached_property
-    def _positions(self):
-        """(top, bottom): the element sets as frozensets of positions in the
-        parent's finite models, kept like ``include``; converted through
-        ``FiniteModel.index`` only for subfunctors not built by
-        ``_subfunctor_at``."""
-        top, bottom = finite_model(self.parent.top).index, finite_model(self.parent.bottom).index
-        return (frozenset(map(top.__getitem__, self.top_elements)),
-                frozenset(map(bottom.__getitem__, self.bottom_elements)))
-
     def is_full(self):
         parent = self.parent
-        tm = finite_model(parent.top)
-        bm = finite_model(parent.bottom)
-        return len(self.top_elements) == tm.order() and len(self.bottom_elements) == bm.order()
+        return (len(self.top_positions) == finite_model(parent.top).order()
+                and len(self.bottom_positions) == finite_model(parent.bottom).order())
 
     def is_zero(self):
-        return len(self.top_elements) == 1 and len(self.bottom_elements) == 1
-
-
-def _subfunctor_at(m: MackeyFunctor, top, bottom):
-    """The subfunctor of ``m`` whose levels are the position sets ``top`` and
-    ``bottom`` in its finite models, with ``_positions`` filled in."""
-    tm, bm = m._tables[:2]
-    sub = Subfunctor(m, frozenset(map(tm.elements.__getitem__, top)),
-                     frozenset(map(bm.elements.__getitem__, bottom)))
-    sub.__dict__["_positions"] = (top, bottom)  # what the cached property would compute
-    return sub
-
-
-def _image_table(matrix: IntMatrix, model, target_model):
-    """Position in ``target_model`` of ``matrix @ x`` for each element x of
-    ``model``, by position.  The map is a homomorphism, so the table is
-    built from the images of the cyclic generators of ``model``, with the
-    matrix taken from canonical coordinates to the target's decomposition
-    coordinates: the elements come in the product order of
-    ``model.elements``, and each costs one addition."""
-    index, moduli, add = target_model.index, target_model.moduli, target_model.add
-    canonical = target_model.u @ matrix @ model.u_inv
-    images = [target_model.zero()]
-    for k, d in enumerate(model.moduli):
-        if d == 1:
-            continue
-        step = tuple(x % m for x, m in zip(canonical.column(k), moduli))
-        grown = []
-        for y in images:
-            for _ in range(d):
-                grown.append(y)
-                y = add(y, step)
-        images = grown
-    return [index[y] for y in images]
+        return len(self.top_positions) == 1 and len(self.bottom_positions) == 1
 
 
 def _closure(models, maps, seed, complete=None):
@@ -455,30 +423,21 @@ def _closure(models, maps, seed, complete=None):
     edges as (target node, tables), each an ``_image_table`` into the
     target.  ``seed`` is a (node, position) pair, and ``complete[i]`` holds
     positions of node i known to generate everything.  A new element z is
-    joined to its node's subgroup S by walking the cosets S + z, S + 2z, ...
-    until one falls back into S, and since every map is a homomorphism, only
-    the joined z go on the work list.  A node's set is made when the closure
-    first joins an element there; until then it is the zero, position 0.
+    joined to its node's subgroup S by ``FiniteModel.join``, which stops on
+    the first coset that meets ``complete``, and since every map is a
+    homomorphism, only the joined z go on the work list.  Every node starts
+    at the zero, position 0.
     """
     if complete is None:
         complete = [frozenset()] * len(models)
-    zero = frozenset({0})
-    sets = {}
+    sets = [{0} for _ in models]
 
     def join(node, z):
         """Join z into its node's subgroup; False if a complete position
         came in on the way."""
-        model, joined, stop = models[node], sets.setdefault(node, {0}), complete[node]
-        elements, index, add = model.elements, model.index, model.add
-        step = elements[z]
-        coset = list(joined)
-        while True:
-            coset = [index[add(elements[e], step)] for e in coset]
-            if coset[0] in joined:
-                return True
-            if not stop.isdisjoint(coset):
-                return False
-            joined.update(coset)
+        stop = complete[node]
+        sets[node] = models[node].join(sets[node], z, lambda coset: not stop.isdisjoint(coset))
+        return sets[node] is not None
 
     if not join(*seed):
         return None
@@ -486,15 +445,13 @@ def _closure(models, maps, seed, complete=None):
     while todo:
         node, z = todo.pop()
         for target, tables in maps[node]:
-            joined = sets.get(target, zero)
             for table in tables:
                 w = table[z]
-                if w not in joined:
+                if w not in sets[target]:
                     if not join(target, w):
                         return None
-                    joined = sets[target]
                     todo.append((target, w))
-    return tuple(frozenset(sets.get(node, zero)) for node in range(len(models)))
+    return tuple(map(frozenset, sets))
 
 
 def _every_element_generates(models, maps, first=None):
@@ -512,12 +469,12 @@ def _every_element_generates(models, maps, first=None):
     taken in order, each in ascending position.
     """
     complete = [set() for _ in models]
-    seeds = ((node, x) for node, model in enumerate(models) for x in range(len(model.elements)))
+    seeds = ((node, x) for node, model in enumerate(models) for x in range(model.order()))
     for node, x in chain([first] if first else [], seeds):
         if x == 0 or x in complete[node]:
             continue
         ideal = _closure(models, maps, (node, x), complete)
-        if ideal is not None and any(len(s) != len(m.elements) for s, m in zip(ideal, models)):
+        if ideal is not None and any(len(s) != m.order() for s, m in zip(ideal, models)):
             return ideal
         complete[node].add(x)
     return None
@@ -532,22 +489,21 @@ def enumerate_subfunctors(m: MackeyFunctor):
     orbits x, weyl(x), weyl(weyl(x)), ...  Each level map is tabulated once
     on element positions, so both closure tests are set inclusions.  Both
     lattices come Hermite-sorted, so walking top x bottom yields the
-    subfunctors in (top key, bottom key) order.  Each subfunctor is built
-    from its position sets by ``_subfunctor_at``.
+    subfunctors in (top key, bottom key) order.
     """
     if not m.levels_finite():
         raise InfiniteGroup("subfunctor enumeration requires finite levels")
     tm, bm, res, tr, weyl = m._tables
     orbits = []
-    for x in range(len(bm.elements)):
+    for x in range(bm.order()):
         orbit = [x]
         while weyl[orbit[-1]] not in orbit:
             orbit.append(weyl[orbit[-1]])
         orbits.append(orbit)
     tops = [(t, frozenset(res[x] for x in t))
-            for t in _lattice(tm, [(x,) for x in range(len(tm.elements))])]
+            for t in _lattice(tm, [(x,) for x in range(tm.order())])]
     bottoms = [(b, frozenset(tr[x] for x in b)) for b in _lattice(bm, orbits)]
-    return [_subfunctor_at(m, t, b)
+    return [Subfunctor(m, t, b)
             for t, res_t in tops for b, tr_b in bottoms if tr_b <= t and res_t <= b]
 
 

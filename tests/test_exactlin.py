@@ -28,6 +28,7 @@ from mackeybox.exactlin import (
     present_quotient,
     quotient_by_subgroup,
     solve_membership,
+    span_key,
     subgroup_key,
     subgroup_presentation,
     tensor,
@@ -530,17 +531,30 @@ def test_enumeration_deterministic():
     assert a == b
 
 
+def coordinate_arithmetic(model):
+    """(index, add, zero): oracle arithmetic on canonical coordinates, from
+    ``elements`` and ``moduli`` alone, apart from ``FiniteModel.plus``."""
+    index = {c: i for i, c in enumerate(model.elements)}
+
+    def add(a, b):
+        return tuple((x + y) % d for x, y, d in zip(a, b, model.moduli))
+
+    return index, add, (0,) * len(model.moduli)
+
+
 def brute_force_subgroups(model):
     """Oracle: close every set of at most r elements, r the number of
     nontrivial cyclic factors (enough generators for any subgroup), and sort
     the distinct closures by Hermite key."""
+    index, add, zero = coordinate_arithmetic(model)
+
     def closure(gens):
-        seen = {model.zero()}
-        frontier = [model.zero()]
+        seen = {zero}
+        frontier = [zero]
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = model.add(cur, g)
+                nxt = add(cur, g)
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -549,7 +563,7 @@ def brute_force_subgroups(model):
     r = max(1, sum(1 for d in model.moduli if d > 1))
     elems = model.elements
     subs = {closure(combo) for k in range(r + 1) for combo in combinations(elems, k)}
-    return sorted(subs, key=lambda sub: subgroup_key(model, sub))
+    return sorted(subs, key=lambda sub: subgroup_key(model, map(index.__getitem__, sub)))
 
 
 @st.composite
@@ -616,13 +630,76 @@ def test_subgroup_presentation_on_hermite_key(pres):
     # the invariants of the every-element presentation, and its inclusion
     # is onto exactly the subgroup
     model = finite_model(pres)
+    index = coordinate_arithmetic(model)[0]
     for sub in enumerate_subgroups(model):
-        p, incl = subgroup_presentation(model, sub)
+        p, incl = subgroup_presentation(model, map(index.__getitem__, sub))
         assert p.num_generators <= pres.num_generators
         assert p.canonical() == every_element_presentation(model, sub).canonical()
         image = {model.to_canonical(incl(finite_model(p).from_canonical(c)))
                  for c in finite_model(p).elements}
         assert image == sub
+
+
+def coordinate_span(model, generators):
+    """Oracle: the positions of the subgroup generated by the given
+    positions, closed under coordinate addition."""
+    index, add, zero = coordinate_arithmetic(model)
+    elements = model.elements
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = add(cur, elements[g])
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return {index[c] for c in seen}
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_presentations(), st.data())
+def test_positions_add_and_join_like_coordinates(pres, data):
+    # the Smith forms of these presentations mix moduli, 1s included
+    model = finite_model(pres)
+    index, add, zero = coordinate_arithmetic(model)
+    elements = model.elements
+    assert index[zero] == 0
+    for x, c in enumerate(elements):
+        assert model.position(model.from_canonical(c)) == x == model.position(model.lift(x))
+        for y, b in enumerate(elements):
+            assert model.plus(x, y) == index[add(c, b)]
+    positions = st.integers(0, len(elements) - 1)
+    subgroup = coordinate_span(model, data.draw(st.lists(positions, max_size=2)))
+    z = data.draw(positions)
+    assert model.join(subgroup, z) == coordinate_span(model, list(subgroup) + [z])
+    # the cosets S + z, S + 2z, ... in order: the join stops on the first
+    # new one that meets ``stop``, and is the span when none does
+    stop = data.draw(st.sets(positions, max_size=3))
+    expected, coset = set(subgroup), subgroup
+    while True:
+        coset = {index[add(elements[e], elements[z])] for e in coset}
+        if coset <= expected:
+            break
+        if coset & stop:
+            expected = None
+            break
+        expected |= coset
+    assert model.join(subgroup, z, lambda new: not stop.isdisjoint(new)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_presentations())
+@example(RANK3_EXAMPLES[0])
+@example(RANK3_EXAMPLES[1])
+def test_subgroup_key_matches_every_element_key(pres):
+    # the key of a generating set is the Hermite key of every element
+    model = finite_model(pres)
+    index = coordinate_arithmetic(model)[0]
+    for sub in enumerate_subgroups(model):
+        every = span_key(pres, [model.from_canonical(c) for c in sub])
+        assert subgroup_key(model, [index[c] for c in sub]) == every
+    for x in range(model.order()):
+        assert subgroup_key(model, [x]) == span_key(pres, [model.lift(x)])
 
 
 def gaussian_binomial(n, k, p):
@@ -649,8 +726,9 @@ def reference_subgroups(model):
     ``enumerate_subgroups``: join every cyclic subgroup onto every newly
     found set, deduplicate by set, then sort by the Hermite key of the
     generators each set was joined from."""
-    elements, index, add = model.elements, model.index, model.add
-    origin = index[model.zero()]
+    elements = model.elements
+    index, add, zero = coordinate_arithmetic(model)
+    origin = index[zero]
     atoms = {}
     for x in range(len(elements)):
         span, todo = {origin}, [origin]
@@ -682,7 +760,7 @@ def reference_subgroups(model):
                     found[joined] = found[s] + [x]
                     grown.append(joined)
         frontier = grown
-    ordered = sorted(found, key=lambda s: subgroup_key(model, [elements[x] for x in found[s]]))
+    ordered = sorted(found, key=lambda s: subgroup_key(model, found[s]))
     return [frozenset(elements[x] for x in s) for s in ordered]
 
 

@@ -8,6 +8,7 @@ from mackeybox import grading
 from mackeybox.errors import (
     EmptyWindow,
     FactorMismatch,
+    NotAnInteger,
     NotPrime,
     PrimeMismatch,
     UnclassifiedField,
@@ -222,10 +223,30 @@ def test_box_window_requires_a_prime():
         BoxWindow(4, 1, 1)
 
 
-@pytest.mark.parametrize("a_bound, m_bound", [(1, -1), (-1, 0), (1.5, 1), (1, "2")])
+@pytest.mark.parametrize("a_bound, m_bound", [(1, -1), (-1, 0), (1.5, 1), (1, "2"), (True, 1), (1, False)])
 def test_box_window_requires_nonnegative_integer_bounds(a_bound, m_bound):
     with pytest.raises(ValueError, match="must be a nonnegative integer"):
         BoxWindow(2, a_bound, m_bound)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: RODegree(4, 0, (1,)), NotPrime, "4 is not prime"),
+        (lambda: RODegree(1, 0, ()), NotPrime, "1 is not prime"),
+        (lambda: RODegree(2.0, 0, (1,)), NotPrime, "2.0 is not prime"),
+        (lambda: BoxWindow(3.0, 1, 1), NotPrime, "3.0 is not prime"),
+        (lambda: RODegree(2, 0.5, (1,)), NotAnInteger, "0.5"),
+        (lambda: RODegree(3, 1, (2.0,)), NotAnInteger, "2.0"),
+        (lambda: RODegree(5, 0, (1, "1")), NotAnInteger, "'1'"),
+        (lambda: RODegree(2, True, (1,)), NotAnInteger, "True"),
+    ],
+    ids=["prime-4", "prime-1", "float-prime", "float-window-prime", "float-a", "float-m",
+         "string-m", "bool-a"],
+)
+def test_degree_checks_its_arguments(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_window_without_pieces_raises_empty_window():
@@ -483,7 +504,8 @@ def brute_force_ideals(tower, window, degrees):
     for combo in iproduct(*(enumerate_subfunctors(tower.pieces[d]) for d in degrees)):
         choice = dict(zip(degrees, combo))
         if all(products_land_in(tower, d1, d2, choice[d2], choice[d]) for d1, d2, d in pairs):
-            ideals.append([positions for sub in combo for positions in sub._positions])
+            ideals.append([positions for sub in combo
+                           for positions in (sub.top_positions, sub.bottom_positions)])
     return ideals
 
 
@@ -501,12 +523,16 @@ def assert_certificate_matches_brute_force(tower, window, cert):
     subs = {}
     for d in degrees:
         piece, levels = tower.pieces[d], cert.witness[d.key()]
-        subs[d] = Subfunctor(piece, *(frozenset(map(tuple, levels[level])) for level in ("top", "bottom")))
+        indices = [{c: x for x, c in enumerate(finite_model(level).elements)}
+                   for level in (piece.top, piece.bottom)]
+        subs[d] = Subfunctor(piece, *(frozenset(index[tuple(c)] for c in levels[level])
+                                      for index, level in zip(indices, ("top", "bottom"))))
     assert not all(sub.is_zero() for sub in subs.values())
     assert not all(sub.is_full() for sub in subs.values())
     pairs = window_pairs(tower, window, degrees)
     assert all(products_land_in(tower, d1, d2, subs[d2], subs[d]) for d1, d2, d in pairs)
-    witness = [positions for d in degrees for positions in subs[d]._positions]
+    witness = [positions for d in degrees
+               for positions in (subs[d].top_positions, subs[d].bottom_positions)]
     ideals = brute_force_ideals(tower, window, degrees)
 
     def generated(node, x):

@@ -26,6 +26,8 @@ from mackeybox.errors import (
     IncompatiblePairing,
     InfiniteGroup,
     NotAModule,
+    NotAnInteger,
+    ShapeMismatch,
     UnclassifiableShape,
     ZeroFunctor,
 )
@@ -60,7 +62,7 @@ from mackeybox.green import (
     validate_green,
 )
 from mackeybox.grading import BoxWindow, graded_field_window_check, single_degree_tower
-from mackeybox.intlinalg import IntMatrix
+from mackeybox.intlinalg import IntMatrix, solve
 from mackeybox.mackey import (
     MackeyFunctor,
     Subfunctor,
@@ -233,12 +235,11 @@ def test_is_ideal_checks_right_multiplication():
     g = upper_triangular_f2_green()
     assert [c.name for c in validate_green(g).failures()] == ["commutativity"]
     m = g.underlying
-    bm = finite_model(m.bottom)
-    e11 = frozenset({bm.zero(), bm.to_canonical((1, 0, 0))})
+    e11 = frozenset({0, finite_model(m.bottom).position((1, 0, 0))})
     [sub] = [
         s
         for s in enumerate_subfunctors(m)
-        if s.bottom_elements == e11 and len(s.top_elements) == 2
+        if s.bottom_positions == e11 and len(s.top_positions) == 2
     ]
     # span{E11} is a left ideal but not a right one: E11 * E12 = E12
     assert escaping_sides(g, sub) == {"right"}
@@ -307,9 +308,10 @@ def gf2_mul(a, b, poly, n):
     return out
 
 
-def gf2_galois_green(n, poly, k):
+def gf2_galois_green(n, poly, k, one=None):
     """F_(2^n) = F_2[x]/(poly) with C_2 acting by a -> a^(2^k), n = 2k, in
-    the power basis, as a fixed-point Green functor."""
+    the power basis, as a fixed-point Green functor; ``one`` replaces the
+    ring unit when given."""
     def bits(a):
         return tuple(a >> i & 1 for i in range(n))
 
@@ -322,7 +324,29 @@ def gf2_galois_green(n, poly, k):
     v = FGAbPresentation(n, IntMatrix.identity(n).scale(2))
     gamma = AbHom(v, v, IntMatrix.from_columns([bits(frobenius(a)) for a in basis], n))
     mult = IntMatrix.from_columns([bits(gf2_mul(a, b, poly, n)) for a in basis for b in basis], n)
-    return fixed_point_green(2, v, gamma, mult, bits(1))
+    return fixed_point_green(2, v, gamma, mult, bits(1) if one is None else one)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: solve_membership(cyclic_group(2), IntMatrix([[1]]), [(1, 2)]),
+         ShapeMismatch, "target 0 has length 2, expected 1"),
+        (lambda: solve(IntMatrix([[1]]), [(1, 2, 3)]), ShapeMismatch, "target 0 has length 3, expected 1"),
+        (lambda: solve(IntMatrix([[1]]), [(1,), (0.5,)]), NotAnInteger, "row 0, column 1 .*0.5"),
+        # F_16/C_2 with a unit of the wrong length, or not an integer vector
+        (lambda: gf2_galois_green(4, 0b10011, 2, (1, 0)), ShapeMismatch, "length 2, expected 4"),
+        (lambda: gf2_galois_green(4, 0b10011, 2, (1, 0, 0, 0, 0)), ShapeMismatch, "length 5, expected 4"),
+        (lambda: gf2_galois_green(4, 0b10011, 2, (0.5, 0, 0, 0)), NotAnInteger, "0.5"),
+    ],
+    ids=["membership-long", "solve-long", "solve-float", "f16-unit-short", "f16-unit-long",
+         "f16-unit-float"],
+)
+def test_solve_checks_each_target(make, error, message):
+    # a target of the wrong length would be zipped short against the rows of
+    # U: F_16 with the unit (1, 0) must raise, not be called a field
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_f64_galois_is_field_over_129_submodules():
@@ -381,9 +405,7 @@ def test_closure_of_units_in_constant_f2():
     # generates the proper ideal (0, Z/2) while 1_top generates everything
     g = constant_green(2, 2)
     top, bottom, res, tr, weyl = g.underlying._tables
-    one_top = top.index[top.to_canonical(g.one_top())]
-    one_bot = bottom.index[bottom.to_canonical(g.one_bot())]
-    zero_top, zero_bot = top.index[top.zero()], bottom.index[bottom.zero()]
+    one_top, one_bot = top.position(g.one_top()), bottom.position(g.one_bot())
     models = (top, bottom)
     left_top, left_bottom = g._left_tables
     maps = [[(1, [res]), (0, left_top)], [(0, [tr]), (1, [weyl] + left_bottom)]]
@@ -391,8 +413,8 @@ def test_closure_of_units_in_constant_f2():
     def ideal(seed):
         return _closure(models, maps, seed)
 
-    assert ideal((1, one_bot)) == (frozenset({zero_top}), frozenset({zero_bot, one_bot}))
-    assert ideal((0, one_top)) == (frozenset({zero_top, one_top}), frozenset({zero_bot, one_bot}))
+    assert ideal((1, one_bot)) == (frozenset({0}), frozenset({0, one_bot}))
+    assert ideal((0, one_top)) == (frozenset({0, one_top}), frozenset({0, one_bot}))
     # a closure that meets a complete position stops there
     assert _closure(models, maps, (0, one_top), (frozenset(), frozenset({one_bot}))) is None
 
@@ -421,10 +443,9 @@ def assert_principal_ideal_witness(g, witness):
     that ``is_ideal`` accepts."""
     assert_proper_nonzero_ideal(g, witness)
     assert not escaping_sides(g, witness)
-    positions = witness._positions
-    # the positions it was built with are those of its element sets
-    assert Subfunctor(g.underlying, witness.top_elements, witness.bottom_elements)._positions == positions
-    ideals = [s._positions for s in enumerate_subfunctors(g.underlying) if is_ideal(g, s)[0]]
+    positions = (witness.top_positions, witness.bottom_positions)
+    ideals = [(s.top_positions, s.bottom_positions)
+              for s in enumerate_subfunctors(g.underlying) if is_ideal(g, s)[0]]
 
     def generated(level, x):
         containing = [ideal for ideal in ideals if x in ideal[level]]
@@ -482,7 +503,9 @@ def test_trivial_action_f64_window_witness_is_an_ideal():
     cert = graded_field_window_check(single_degree_tower(g), BoxWindow(2, 0, 0))
     assert cert.verdict == "witness"
     (levels,) = cert.witness.values()
-    witness = Subfunctor(m, frozenset(map(tuple, levels["top"])), frozenset(map(tuple, levels["bottom"])))
+    indices = [{c: x for x, c in enumerate(finite_model(level).elements)} for level in (m.top, m.bottom)]
+    witness = Subfunctor(m, *(frozenset(index[tuple(c)] for c in levels[level])
+                              for index, level in zip(indices, ("top", "bottom"))))
     assert_proper_nonzero_ideal(g, witness)
 
 
@@ -745,7 +768,7 @@ def top_field_by_pairwise_products(g):
     product computed in generator coordinates."""
     m = g.underlying
     tm, mult, n = finite_model(m.top), g.mult.f_top.matrix, m.top.num_generators
-    one, zero = tm.to_canonical(g.one_top()), tm.zero()
+    one, zero = tm.to_canonical(g.one_top()), tm.elements[0]
     if one == zero:
         return False
 

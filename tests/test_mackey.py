@@ -291,7 +291,7 @@ ORDERED_FUNCTORS = pytest.mark.parametrize(
 def test_subfunctors_in_strict_key_order(m):
     tm, bm = finite_model(m.top), finite_model(m.bottom)
     keys = [
-        (subgroup_key(tm, s.top_elements), subgroup_key(bm, s.bottom_elements))
+        (subgroup_key(tm, s.top_positions), subgroup_key(bm, s.bottom_positions))
         for s in enumerate_subfunctors(m)
     ]
     assert len(keys) > 2
