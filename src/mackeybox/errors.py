@@ -79,6 +79,10 @@ class WindowOverflow(MackeyboxError):
     would hold more than ``grading.MAX_GRADED_PIECES`` degrees."""
 
 
+class InvalidWindow(MackeyboxError, ValueError):
+    """A window bound that is not a nonnegative integer."""
+
+
 class EmptyWindow(MackeyboxError, ValueError):
     """A window holds no nonzero piece of the tower it was asked about."""
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .boxtensor import box
-from .errors import (EmptyWindow, FactorMismatch, InfiniteGroup, NotAnInteger,
-                     UnclassifiedField, WindowOverflow)
+from .errors import (EmptyWindow, FactorMismatch, InfiniteGroup, InvalidWindow, NotAnInteger,
+                     ShapeMismatch, UnclassifiedField, WindowOverflow)
 from .green import (
     FieldShape,
     GreenFunctor,
@@ -35,6 +35,11 @@ from .mackey import (
 )
 
 
+def _nontrivial(p):
+    """The number of nontrivial irreducible real representations of C_p."""
+    return 1 if p == 2 else (p - 1) // 2
+
+
 @dataclass(frozen=True)
 class RODegree:
     prime: int
@@ -46,9 +51,9 @@ class RODegree:
         for x in (self.a, *self.m):
             if type(x) is not int:  # a bool is not a multiplicity
                 raise NotAnInteger(x)
-        want = 1 if self.prime == 2 else (self.prime - 1) // 2
-        if len(self.m) != want:
-            raise ValueError(f"need {want} nontrivial multiplicities for p={self.prime}")
+        if len(self.m) != _nontrivial(self.prime):
+            raise ShapeMismatch(f"the multiplicity vector for p={self.prime}",
+                                _nontrivial(self.prime), len(self.m))
 
     def dim(self):
         if self.prime == 2:
@@ -82,12 +87,12 @@ class RODegree:
 
     @classmethod
     def zero(cls, p):
-        return cls(p, 0, (0,) * (1 if p == 2 else (p - 1) // 2))
+        return cls(p, 0, (0,) * _nontrivial(p))
 
     @classmethod
     def regular(cls, p):
         """The regular representation: trivial summand plus all the rest."""
-        return cls(p, 1, (1,) * (1 if p == 2 else (p - 1) // 2))
+        return cls(p, 1, (1,) * _nontrivial(p))
 
     def to_json(self):
         return {"a": self.a, "m": list(self.m)}
@@ -121,15 +126,15 @@ class BoxWindow:
         for name in ("a_bound", "m_bound"):
             bound = getattr(self, name)
             if type(bound) is not int or bound < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
+                raise InvalidWindow(f"{name} must be a nonnegative integer, got {bound!r}")
+
+    def multiplicities(self):
+        """The multiplicity vectors of the window's degrees, in order."""
+        return iproduct(*[range(-self.m_bound, self.m_bound + 1)] * _nontrivial(self.prime))
 
     def degrees(self):
-        k = 1 if self.prime == 2 else (self.prime - 1) // 2
-        out = []
-        for a in range(-self.a_bound, self.a_bound + 1):
-            for m in iproduct(*(range(-self.m_bound, self.m_bound + 1) for _ in range(k))):
-                out.append(RODegree(self.prime, a, m))
-        return out
+        return [RODegree(self.prime, a, m)
+                for a in range(-self.a_bound, self.a_bound + 1) for m in self.multiplicities()]
 
     def contains(self, deg):
         return abs(deg.a) <= self.a_bound and all(abs(x) <= self.m_bound for x in deg.m)
@@ -142,15 +147,6 @@ class BoxWindow:
 # homotopy of Eilenberg-Mac Lane spectra of Mackey fields
 
 
-def _em_nonzero(shape: FieldShape, alpha: RODegree):
-    """Whether the case formulas of ``em_homotopy`` give a nonzero functor
-    at ``alpha``: fixed dimension 0 for a concentrated field, total
-    dimension 0 for a fixed-point one."""
-    if shape.kind == "concentrated":
-        return alpha.fixed_dim() == 0
-    return alpha.dim() == 0
-
-
 def em_homotopy(shape: FieldShape, alpha: RODegree) -> MackeyFunctor:
     """The case formulas for the graded homotopy of the associated
     Eilenberg-Mac Lane spectrum of a classified Mackey field."""
@@ -159,7 +155,9 @@ def em_homotopy(shape: FieldShape, alpha: RODegree) -> MackeyFunctor:
     p = shape.field.prime
     _same_prime(alpha.prime, p)
     f = shape.field.underlying
-    if not _em_nonzero(shape, alpha):
+    # nonzero at fixed dimension 0 for a concentrated field, at total
+    # dimension 0 for a fixed-point one
+    if (alpha.fixed_dim() if shape.kind == "concentrated" else alpha.dim()) != 0:
         return zero_mackey(p)
     if shape.kind == "concentrated" or p != 2 or alpha.a % 2 == 0:
         return f
@@ -172,34 +170,39 @@ def em_homotopy(shape: FieldShape, alpha: RODegree) -> MackeyFunctor:
 @dataclass(frozen=True)
 class GradedGreenTower:
     """A window of Mackey functors with a multiplication pairing per pair of
-    degrees; the carrier for graded Green structure at desk scale."""
+    degrees; the carrier for graded Green structure at desk scale.  One
+    pairing of every pair may be held as ``mult``, which then takes
+    precedence over ``pairings``; read either through ``pairing``."""
 
     prime: int
     pieces: dict  # RODegree -> MackeyFunctor (missing = zero)
     pairings: dict  # (RODegree, RODegree) -> BilinearPairing
+    mult: object = None  # the one BilinearPairing of every pair, or None
+
+    def pairing(self, d1, d2):
+        """The pairing of the pieces at d1 and d2, or None where there is none."""
+        return self.pairings.get((d1, d2)) if self.mult is None else self.mult
 
 
 def em_tower(shape: FieldShape, window) -> GradedGreenTower:
     """Graded tower of homotopy functors with the induced multiplications.
 
-    Only concentrated fields are supported; their multiplication is the
-    same field pairing in every nonzero degree.
+    Only concentrated fields are supported: ``em_homotopy`` is the field
+    at a = 0 and zero elsewhere, so the tower holds the window's degrees
+    with a = 0, in window order, all multiplied by the field's pairing.
     """
     if shape.kind != "concentrated":
         raise UnclassifiedField("graded tower is implemented for concentrated fields")
     g = shape.field
-    pieces = {deg: em_homotopy(shape, deg) for deg in window.degrees() if _em_nonzero(shape, deg)}
-    pairings = {}
-    for d1 in pieces:
-        for d2 in pieces:
-            pairings[(d1, d2)] = g.mult
-    return GradedGreenTower(g.prime, pieces, pairings)
+    _same_prime(window.prime, g.prime)
+    pieces = {RODegree(g.prime, 0, m): g.underlying for m in window.multiplicities()}
+    return GradedGreenTower(g.prime, pieces, {}, g.mult)
 
 
 def single_degree_tower(g: GreenFunctor) -> GradedGreenTower:
     """A Green functor viewed as a graded tower concentrated in degree zero."""
     zero = RODegree.zero(g.prime)
-    return GradedGreenTower(g.prime, {zero: g.underlying}, {(zero, zero): g.mult})
+    return GradedGreenTower(g.prime, {zero: g.underlying}, {}, g.mult)
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,7 @@ def _window_pairs(tower, degrees):
             u = position.get(code1 + code2)
             if u is None:
                 continue
-            pairing, target = tower.pairings.get((d1, d2)), pieces[u]
+            pairing, target = tower.pairing(d1, d2), pieces[u]
             key = (id(pairing), id(ring), id(piece), id(target))
             tables = shared.get(key)
             if tables is None:
@@ -355,7 +358,7 @@ def _witness_probe(tower: GradedGreenTower, degrees):
         raise InfiniteGroup("infinite pieces admit only the degree-zero witness probe")
     deg = degrees[0]
     piece = tower.pieces[deg]
-    pairing = tower.pairings.get((deg, deg))
+    pairing = tower.pairing(deg, deg)
     _check_pairing(pairing, deg, deg, (piece, piece, piece))
     candidates = [("top", piece.tr(e)) for e in IntMatrix.identity(piece.bottom.num_generators).rows]
     candidates += [("top", e) for e in IntMatrix.identity(piece.top.num_generators).rows]

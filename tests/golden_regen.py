@@ -139,6 +139,13 @@ def outputs():
     for m in range(1, 21):
         window = BoxWindow(2, m, m)
         yield f"tower/F2-{m}", graded_field_window_check(em_tower(f2, window), window).to_json()
+    for p, a_bound, m_bound in ((3, 2, 3), (3, 0, 4), (5, 1, 2), (5, 2, 3), (7, 1, 1)):
+        window = BoxWindow(p, a_bound, m_bound)
+        tower = em_tower(classify_field_shape(field_top_green(p, p)), window)
+        yield f"tower/F{p}-{a_bound}-{m_bound}", {
+            "pieces": [d.key() for d in tower.pieces],
+            "certificate": graded_field_window_check(tower, window).to_json(),
+        }
     towers = {
         "laurent-0-1": laurent_f2_tower([deg2(0, 0), deg2(1, 0)]),
         "laurent-3": laurent_f2_tower([deg2(-1, 0), deg2(0, 0), deg2(1, 0)]),

@@ -8,9 +8,11 @@ from mackeybox import grading
 from mackeybox.errors import (
     EmptyWindow,
     FactorMismatch,
+    InvalidWindow,
     NotAnInteger,
     NotPrime,
     PrimeMismatch,
+    ShapeMismatch,
     UnclassifiedField,
     WindowOverflow,
 )
@@ -194,6 +196,55 @@ def test_em_tower_pieces_are_the_nonzero_homotopy_functors():
     assert list(tower.pieces) == nonzero
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("a_bound, m_bound", [(0, 0), (0, 1), (1, 0), (2, 1)])
+def test_em_tower_matches_the_case_formulas_over_every_prime(p, a_bound, m_bound):
+    # the degrees with a nonzero homotopy functor, in window order, each two
+    # of them multiplied by the field's own pairing
+    shape = classify_field_shape(field_top_green(p, p))
+    window = BoxWindow(p, a_bound, m_bound)
+    tower = em_tower(shape, window)
+    nonzero = [d for d in window.degrees() if not em_homotopy(shape, d).is_zero()]
+    assert list(tower.pieces) == nonzero
+    assert all(tower.pairing(d1, d2) is shape.field.mult for d1 in nonzero for d2 in nonzero)
+
+
+def test_tower_pairing_prefers_its_one_mult_to_the_dict():
+    zero, f4, f2 = deg2(0, 0), field_top_green(2, 2), constant_green(2, 2)
+    spelled = GradedGreenTower(2, {zero: f4.underlying}, {(zero, zero): f2.mult})
+    assert spelled.pairing(zero, zero) is f2.mult
+    assert spelled.pairing(zero, deg2(1, 0)) is None
+    both = GradedGreenTower(2, {zero: f4.underlying}, {(zero, zero): f2.mult}, f4.mult)
+    assert both.pairing(zero, zero) is both.pairing(zero, deg2(1, 0)) is f4.mult
+
+
+def test_em_tower_builds_only_its_own_degrees(monkeypatch):
+    # a window of 81 x 81 degrees, 81 of them nonzero
+    built = []
+    post_init = RODegree.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    shape = classify_field_shape(field_top_green(2, 2))
+    window = BoxWindow(2, 40, 40)
+    monkeypatch.setattr(RODegree, "__post_init__", counting)
+    tower = em_tower(shape, window)
+    assert len(tower.pieces) == 81 and len(built) <= 81
+
+
+def test_em_tower_over_another_prime_raises_prime_mismatch():
+    with pytest.raises(PrimeMismatch, match="C_3 and C_2"):
+        em_tower(classify_field_shape(field_top_green(2, 2)), BoxWindow(3, 1, 1))
+
+
+def test_em_tower_certificate_matches_brute_force():
+    window = BoxWindow(2, 1, 1)
+    tower = em_tower(classify_field_shape(field_top_green(2, 2)), window)
+    assert_certificate_matches_brute_force(tower, window, graded_field_window_check(tower, window))
+
+
 def test_em_requires_classified_field():
     with pytest.raises(UnclassifiedField):
         em_homotopy("not a shape", RODegree.zero(2))
@@ -240,9 +291,11 @@ def test_box_window_requires_nonnegative_integer_bounds(a_bound, m_bound):
         (lambda: RODegree(3, 1, (2.0,)), NotAnInteger, "2.0"),
         (lambda: RODegree(5, 0, (1, "1")), NotAnInteger, "'1'"),
         (lambda: RODegree(2, True, (1,)), NotAnInteger, "True"),
+        (lambda: RODegree(3, 0, (1, 2)), ShapeMismatch, "length 2, expected 1"),
+        (lambda: BoxWindow(2, True, 1), InvalidWindow, "must be a nonnegative integer"),
     ],
     ids=["prime-4", "prime-1", "float-prime", "float-window-prime", "float-a", "float-m",
-         "string-m", "bool-a"],
+         "string-m", "bool-a", "too-many-multiplicities", "bool-window-bound"],
 )
 def test_degree_checks_its_arguments(make, error, message):
     with pytest.raises(error, match=message):
@@ -340,9 +393,13 @@ def tower_with_pairing(g, degrees, odd_one=None):
             2, {deg2(0, 0): burnside_green(2).underlying},
             {(deg2(0, 0), deg2(0, 0)): constant_green(2, 2).mult}),
          FactorMismatch, r"pairing for degrees 0\|0 and 0\|0 does not run between"),
+        (lambda: GradedGreenTower(
+            2, dict.fromkeys([deg2(0, 0), deg2(1, 0)], field_top_green(2, 2).underlying),
+            {}, constant_green(2, 2).mult),
+         FactorMismatch, r"pairing for degrees 0\|0 and 0\|0 does not run between"),
     ],
     ids=["missing", "f4-mult-on-constant-f2", "constant-mult-on-concentrated-f2",
-         "piece-over-c3", "probe-missing", "probe-mismatched"],
+         "piece-over-c3", "probe-missing", "probe-mismatched", "one-mult-mismatched"],
 )
 def test_malformed_tower_raises_typed_error(make, error, message):
     with pytest.raises(error, match=message):
@@ -672,7 +729,7 @@ def test_early_stop_matches_full_closures_where_an_ideal_exists(tower):
 def products_land_in(tower, d1, d2, sub, target):
     """Whether every ring element at d1 times every element of ``sub`` (at
     d2) lies in ``target``, at both levels."""
-    ring, pairing = tower.pieces[d1], tower.pairings[(d1, d2)]
+    ring, pairing = tower.pieces[d1], tower.pairing(d1, d2)
     for mult, ring_pres, elements, target_elements, pres, target_pres in (
         (pairing.f_top.matrix, ring.top, sub.top_elements, target.top_elements,
          sub.parent.top, target.parent.top),
