@@ -34,6 +34,7 @@ from itertools import product as iproduct
 from .errors import (
     FactorMismatch,
     IncompatiblePairing,
+    InvalidArgument,
     NotAMackeyFunctor,
     NotAModule,
     NotAnIsomorphism,
@@ -116,7 +117,7 @@ def box_many(factors, limit=None):
     """
     factors = tuple(factors)
     if not factors:
-        raise ValueError("need at least one factor")
+        raise InvalidArgument("need at least one factor")
     p = factors[0].prime
     if any(f.prime != p for f in factors):
         raise PrimeMismatch("factors live over different primes")
@@ -225,7 +226,7 @@ def box(m, n, limit=None):
 def box_power(m, k, limit=None):
     """k-fold box power of one functor; k = 1 is the functor itself."""
     if k < 1:
-        raise ValueError("box power needs k >= 1")
+        raise InvalidArgument("box power needs k >= 1")
     return box_many([m] * k, limit=limit)
 
 

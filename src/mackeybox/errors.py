@@ -41,7 +41,8 @@ class PrimeMismatch(MackeyboxError):
 
 
 class LevelMismatch(MackeyboxError, ValueError):
-    """A structure map or level map that does not run between its levels."""
+    """A structure map or level map that does not run between its levels, or
+    maps whose endpoints do not fit the operation asked of them."""
 
 
 class IncompatiblePairing(MackeyboxError):
@@ -77,6 +78,11 @@ class SizeLimit(MackeyboxError):
 class WindowOverflow(MackeyboxError):
     """A graded box product (``grading.graded_box``) whose output support
     would hold more than ``grading.MAX_GRADED_PIECES`` degrees."""
+
+
+class InvalidArgument(MackeyboxError, ValueError):
+    """A count out of range: an empty list of box factors, a box power below
+    1 or a negative truncation."""
 
 
 class InvalidWindow(MackeyboxError, ValueError):

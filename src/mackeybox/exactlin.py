@@ -5,9 +5,12 @@ operations (kernels, cokernels, images, tensor products, quotients,
 membership) are exact; canonical forms are (free rank, invariant factors).
 A group killed by 2 is reduced over GF(2) on rows packed into ints; every
 other group, and every finite model, reads the integer Smith normal form of
-its relations.  Presentations are never silently minimized:
-generator labels survive every construction so that permutation and
-rotation maps defined on labels stay meaningful downstream.
+its relations.  Presentations are never silently minimized where their
+generators are labels: they survive every construction (images, cokernels,
+quotients, tensor products) so that permutation and rotation maps defined
+on labels stay meaningful downstream.  A kernel has no labels of its own,
+so ``hom_kernel`` presents it on its invariant-factor basis, one generator
+per cyclic factor.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property
 from itertools import product
 from operator import mul
 
-from .errors import IllFormedHom, InfiniteGroup
+from .errors import IllFormedHom, InfiniteGroup, LevelMismatch, ShapeMismatch
 from .intlinalg import (
     IntMatrix,
     hermite_row_basis,
@@ -37,9 +40,7 @@ class FGAbPresentation:
 
     def __post_init__(self):
         if self.relations.ncols != self.num_generators:
-            raise ValueError(
-                f"relations have {self.relations.ncols} columns, expected {self.num_generators}"
-            )
+            raise ShapeMismatch("each relation", self.num_generators, self.relations.ncols)
 
     # -- Smith form of the relations, computed once per object -----------
     @cached_property
@@ -110,7 +111,7 @@ class FGAbPresentation:
     def reduces_to_zero(self, vec):
         """True when ``vec`` lies in the integer span of the relations."""
         if len(vec) != self.num_generators:
-            raise ValueError("vector length mismatch")
+            raise ShapeMismatch("vector", self.num_generators, len(vec))
         return _kills(self._reducer[0], vec)
 
     @cached_property
@@ -226,9 +227,9 @@ class AbHom:
 
     def __post_init__(self):
         if self.matrix.ncols != self.source.num_generators:
-            raise ValueError("matrix columns != source generators")
+            raise ShapeMismatch("each matrix row", self.source.num_generators, self.matrix.ncols)
         if self.matrix.nrows != self.target.num_generators:
-            raise ValueError("matrix rows != target generators")
+            raise ShapeMismatch("each matrix column", self.target.num_generators, self.matrix.nrows)
         rels = self.source.relations.rows
         if not rels:
             return
@@ -262,7 +263,7 @@ class AbHom:
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other."""
         if other.target != self.source:
-            raise ValueError("composition mismatch")
+            raise LevelMismatch("composition mismatch")
         return _unchecked(AbHom, other.source, self.target, self.matrix @ other.matrix)
 
     def __add__(self, other):
@@ -278,7 +279,7 @@ class AbHom:
 
     def power(self, e):
         if self.source != self.target:
-            raise ValueError("power of non-endomorphism")
+            raise LevelMismatch("power of non-endomorphism")
         return _unchecked(AbHom, self.source, self.target, self.matrix.power(e))
 
     def equals(self, other: "AbHom") -> bool:
@@ -346,7 +347,7 @@ def _apply(matrix, vec):
 
 def _same_ends(f, g):
     if f.source != g.source or f.target != g.target:
-        raise ValueError("homs have different endpoints")
+        raise LevelMismatch("homs have different endpoints")
 
 
 def identity_hom(pres):
@@ -373,7 +374,7 @@ def present_quotient(generators: IntMatrix, killed: IntMatrix):
     killed span.
     """
     if generators.nrows != killed.nrows:
-        raise ValueError("ambient rank mismatch")
+        raise ShapeMismatch("each killed column", generators.nrows, killed.nrows)
     t = generators.ncols
     stacked = generators.hstack(killed.scale(-1)) if killed.ncols else generators
     rel_rows = []
@@ -384,17 +385,26 @@ def present_quotient(generators: IntMatrix, killed: IntMatrix):
 
 
 def hom_kernel(f: AbHom):
-    """(K, incl) with incl: K -> source injective onto ker f."""
+    """(K, incl) with incl: K -> source injective onto ker f.
+
+    K is presented on its invariant-factor basis: one generator per cyclic
+    factor Z/d_i (d_i > 1, relation d_i e_i) or free summand Z (no
+    relation), in the order of ``canonical()``.  The kernel's generating
+    columns are presented by ``present_quotient`` first; the Smith form
+    U @ relations^T @ V == D of that presentation then gives generator i as
+    those columns times column i of U^-1, as in ``FiniteModel``."""
     src, tgt = f.source, f.target
     tr = tgt.relations.transpose()  # columns span the target relation subgroup
     stacked = f.matrix.hstack(tr) if tr.ncols else f.matrix
-    gen_cols = []
     n = src.num_generators
-    for vec in kernel_basis(stacked):
-        gen_cols.append(vec[:n])
-    gens = IntMatrix.from_columns(gen_cols, n)
-    k_pres = present_quotient(gens, src.relations.transpose())
-    incl = AbHom(k_pres, src, gens)
+    gens = IntMatrix.from_columns([vec[:n] for vec in kernel_basis(stacked)], n)
+    u, diagonal = present_quotient(gens, src.relations.transpose())._smith
+    moduli = [abs(x) for x in diagonal] + [0] * (gens.ncols - len(diagonal))
+    kept = [i for i, d in enumerate(moduli) if d != 1]
+    basis = (gens @ unimodular_inverse(u)).columns()
+    rels = [[d if j == i else 0 for j in kept] for i, d in enumerate(moduli) if d > 1]
+    k_pres = FGAbPresentation(len(kept), IntMatrix(rels, len(kept)))
+    incl = AbHom(k_pres, src, IntMatrix.from_columns([basis[i] for i in kept], n))
     return k_pres, incl
 
 
@@ -441,7 +451,7 @@ def solve_membership(pres: FGAbPresentation, generator_cols: IntMatrix, vecs):
 def factor_through_injection(f: AbHom, incl: AbHom) -> AbHom:
     """g with incl . g == f, for incl injective; errors if f misses the image."""
     if incl.target != f.target:
-        raise ValueError("codomain mismatch")
+        raise LevelMismatch("codomain mismatch")
     cols = solve_membership(f.target, incl.matrix, f.matrix.columns())
     if None in cols:
         raise IllFormedHom("map does not factor through the inclusion")

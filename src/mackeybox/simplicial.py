@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .boxtensor import _normalized_assignment, box_power, contract_by_assignment
 from .errors import (
     InsufficientTruncation,
+    InvalidArgument,
     LevelMismatch,
     NotAModule,
     NotEquivariant,
@@ -850,7 +851,8 @@ def tensor_green_with_circle(green, circle: SimplicialGSet, truncation) -> Simpl
     degeneracy maps are read off the orbit structure of the circle, with
     the action twist appearing where a face crosses the rotation seam.
 
-    The inputs are checked once, before anything is built: the ring laws
+    The inputs are checked once, before anything is built: a negative
+    truncation (``InvalidArgument``), the ring laws
     through ``self_module(green).validate()`` and x * 1 = x, since a
     degeneracy inserts 1 on either side of a later product (``NotAModule``),
     and the simplicial identities on the orbit assignments of the circle
@@ -860,6 +862,8 @@ def tensor_green_with_circle(green, circle: SimplicialGSet, truncation) -> Simpl
     checked"); ``SimplicialMackey.identity_failures`` decides them on the
     maps themselves.
     """
+    if truncation < 0:
+        raise InvalidArgument(f"truncation must be >= 0, got {truncation}")
     if not circle.action_is_free():
         raise NotFreeAction("the circle model must carry a free action")
     if circle.truncation < truncation:

@@ -3,8 +3,12 @@
 Each output is a JSON value: field and shape verdicts with their witnesses,
 subfunctor and subgroup lists in their enumeration order, graded window
 certificates, the levels of box powers and the face maps of a circle
-tensor.  ``tests/golden.json`` keeps one sha256 per name, of the value
-dumped with sorted keys; ``test_golden.py`` names every entry that differs.
+tensor.  Beside them sit invariants that no change of presentation may
+move: each verdict's ``is_field`` and witness levels, the orders of every
+subfunctor, and the ``canonical_levels`` of the circle tensor, of its Moore
+homology and of ``j_bottom`` on each ring's bottom level.
+``tests/golden.json`` keeps one sha256 per name, of the value dumped with
+sorted keys; ``test_golden.py`` names every entry that differs.
 
 Run ``python tests/golden_regen.py`` from the repository root to rewrite
 ``tests/golden.json``, only when a change of output is intended.
@@ -50,6 +54,7 @@ from test_green import (  # noqa: E402
     diagonal_f2_green,
     gf2_galois_green,
 )
+from test_simplicial import moore_homology  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
 
@@ -83,6 +88,19 @@ def field_output(g):
     if verdict.witness is not None:
         out["canonical_levels"] = canonical_levels(verdict.witness.functor)
     return out
+
+
+def verdict_invariants(g):
+    """What a field verdict keeps under any change of presentation."""
+    verdict = is_mackey_field(g)
+    witness = verdict.witness
+    return {"is_field": verdict.is_field,
+            "witness_levels": None if witness is None else canonical_levels(witness.functor)}
+
+
+def subfunctor_orders(m):
+    """Sorted (|top|, |bottom|) of every subfunctor of ``m``."""
+    return sorted([len(s.top_elements), len(s.bottom_elements)] for s in enumerate_subfunctors(m))
 
 
 def subfunctor_output(m):
@@ -124,6 +142,7 @@ def outputs():
     greens = green_corpus()
     for name, g in greens.items():
         yield f"field/{name}", attempt(lambda: field_output(g))
+        yield f"field_invariants/{name}", attempt(lambda: verdict_invariants(g))
         yield f"shape/{name}", attempt(lambda: classify_field_shape(g).to_json())
         window = BoxWindow(g.prime, 0, 0)
         yield f"window/{name}", attempt(
@@ -132,6 +151,7 @@ def outputs():
         single_degree_tower(burnside_green(2)), BoxWindow(2, 0, 0)).to_json()
     for name, m in mackey_corpus(greens).items():
         yield f"subfunctors/{name}", subfunctor_output(m)
+        yield f"subfunctor_orders/{name}", subfunctor_orders(m)
     for name, pres in group_corpus().items():
         yield f"subgroups/{name}", [sorted(map(list, s))
                                     for s in enumerate_subgroups(finite_model(pres))]
@@ -161,6 +181,15 @@ def outputs():
     circle = tensor_green_with_circle(greens["F4"], p_circle(2, 3), 3)
     for (k, i), face in sorted(circle.faces.items()):
         yield f"circle_face/F4-{k}-{i}", face.to_json()
+    for t in range(1, 4):
+        sm = tensor_green_with_circle(greens["F4"], p_circle(2, t), t)
+        yield f"circle_levels/F4-{t}", [canonical_levels(level.result) for level in sm.levels]
+        h = moore_homology(sm)
+        yield f"moore/F4-{t}", [canonical_levels(h[n]) for n in sorted(h)]
+    for name, make in TOP_LEVEL_CORPUS.items():
+        m = make().underlying
+        yield f"j_bottom/{name}", attempt(
+            lambda: canonical_levels(j_bottom(m.prime, m.bottom, m.weyl)))
 
 
 def digest(value):

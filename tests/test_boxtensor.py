@@ -97,6 +97,17 @@ def test_box_size_limit():
     assert needed == 3 > 2
 
 
+def test_f4_box_power_top_has_no_dead_generators():
+    # f4's fixed level is Z/2 on its one generator (its invariant-factor
+    # basis), so the arity-4 top has 1 + 16 generators: one pure tensor of
+    # the tops and one transfer class per tuple of the bottoms' generators.
+    # On a 2-generator top, one of them 0, it had 16 + 16 and 208 rows.
+    top = box_power(f4_frobenius_green().underlying, 4).result.top
+    assert top.canonical() == (0, (2,) * 8)
+    assert top.num_generators == 17
+    assert top.relations.nrows <= 92
+
+
 def unitor_corpus():
     return [
         burnside(2),

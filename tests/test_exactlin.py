@@ -9,8 +9,15 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from mackeybox import _snf_py
-from mackeybox.boxtensor import box_power
-from mackeybox.errors import IllFormedHom, InfiniteGroup
+from mackeybox.boxtensor import box_many, box_power
+from mackeybox.errors import (
+    IllFormedHom,
+    InfiniteGroup,
+    InvalidArgument,
+    LevelMismatch,
+    MackeyboxError,
+    ShapeMismatch,
+)
 from mackeybox.exactlin import (
     AbHom,
     FGAbPresentation,
@@ -36,7 +43,9 @@ from mackeybox.exactlin import (
     zero_hom,
 )
 from mackeybox.green import f4_frobenius_green
-from mackeybox.intlinalg import IntMatrix, smith_normal_form, smith_u_diagonal
+from mackeybox.intlinalg import IntMatrix, kernel_basis, smith_normal_form, smith_u_diagonal
+from mackeybox.mackey import constant
+from mackeybox.simplicial import p_circle, tensor_green_with_circle
 from test_intlinalg import fraction_inverse
 
 
@@ -168,6 +177,103 @@ def test_image_ranks_additive():
         k, _ = hom_kernel(f)
         im, _, _ = hom_image(f)
         assert f.source.free_rank == k.free_rank + im.free_rank
+
+
+def reference_kernel(f):
+    """The kernel on one generator per basis column of ker [f | target
+    relations], presented by ``present_quotient``: ``hom_kernel`` before it
+    moved to the invariant-factor basis."""
+    src, tgt = f.source, f.target
+    tr = tgt.relations.transpose()
+    stacked = f.matrix.hstack(tr) if tr.ncols else f.matrix
+    n = src.num_generators
+    gens = IntMatrix.from_columns([vec[:n] for vec in kernel_basis(stacked)], n)
+    k_pres = present_quotient(gens, src.relations.transpose())
+    return k_pres, AbHom(k_pres, src, gens)
+
+
+@st.composite
+def kernel_maps(draw):
+    """A map Z^n / R -> Z^k / T, well-defined by construction: T holds a
+    diagonal row d e_i for each drawn modulus d != 0 (0 leaves a free
+    summand) and the image of every row of R.  R is drawn freely, so the
+    source mixes free rank and moduli too."""
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    small = st.integers(-3, 3)
+    src_rows = [[draw(small) for _ in range(n)] for _ in range(draw(st.integers(0, 3)))]
+    matrix = IntMatrix([[draw(small) for _ in range(n)] for _ in range(k)], n)
+    moduli = [draw(st.sampled_from([0, 0, 1, 2, 3, 4, 6])) for _ in range(k)]
+    tgt_rows = [[d if j == i else 0 for j in range(k)] for i, d in enumerate(moduli) if d]
+    tgt_rows += [[sum(a * b for a, b in zip(row, rel)) for row in matrix.rows] for rel in src_rows]
+    source = FGAbPresentation(n, IntMatrix(src_rows, n))
+    return AbHom(source, FGAbPresentation(k, IntMatrix(tgt_rows, k)), matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_maps())
+@example(AbHom(cyclic_group(4), cyclic_group(4), IntMatrix([[2]])))
+@example(zero_hom(free_group(2), zero_group()))
+def test_kernel_on_invariant_factor_basis_matches_reference(f):
+    k, incl = hom_kernel(f)
+    ref, ref_incl = reference_kernel(f)
+    # the same group, included as the same subgroup of the source
+    assert k.canonical() == ref.canonical()
+    assert span_key(f.source, incl.matrix.columns()) == span_key(f.source, ref_incl.matrix.columns())
+    assert f.compose(incl).is_zero()
+    # one generator per cyclic factor, torsion first, with diagonal relations
+    free, factors = k.canonical()
+    n = k.num_generators
+    assert n == free + len(factors)
+    assert k.relations.rows == tuple(
+        tuple(d if j == i else 0 for j in range(n)) for i, d in enumerate(factors)
+    )
+
+
+def test_f4_fixed_points_on_one_generator():
+    # F_4 = F_2<1, w> under the Frobenius: the fixed subgroup F_2 is Z/2 on
+    # the one generator 1, with no generator standing for 0
+    m = f4_frobenius_green().underlying
+    assert m.top == cyclic_group(2)
+    assert m.res.matrix == IntMatrix([[1], [0]])
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: FGAbPresentation(2, IntMatrix([[1, 2, 3]])), ShapeMismatch,
+         "each relation has length 3, expected 2"),
+        (lambda: cyclic_group(2).reduces_to_zero((1, 0)), ShapeMismatch,
+         "vector has length 2, expected 1"),
+        (lambda: AbHom(cyclic_group(2), cyclic_group(2), IntMatrix([[1, 0]])), ShapeMismatch,
+         "each matrix row has length 2, expected 1"),
+        (lambda: AbHom(cyclic_group(2), cyclic_group(2), IntMatrix([[1], [0]])), ShapeMismatch,
+         "each matrix column has length 2, expected 1"),
+        (lambda: present_quotient(IntMatrix([[1]]), IntMatrix([[1], [0]])), ShapeMismatch,
+         "each killed column has length 2, expected 1"),
+        (lambda: identity_hom(cyclic_group(2)).compose(identity_hom(cyclic_group(3))),
+         LevelMismatch, "composition mismatch"),
+        (lambda: identity_hom(cyclic_group(2)) - identity_hom(cyclic_group(3)), LevelMismatch,
+         "homs have different endpoints"),
+        (lambda: zero_hom(cyclic_group(2), cyclic_group(4)).power(2), LevelMismatch,
+         "power of non-endomorphism"),
+        (lambda: factor_through_injection(identity_hom(cyclic_group(2)),
+                                          identity_hom(cyclic_group(3))),
+         LevelMismatch, "codomain mismatch"),
+        (lambda: box_power(constant(2, 2), 0), InvalidArgument, "box power needs k >= 1"),
+        (lambda: box_many([]), InvalidArgument, "need at least one factor"),
+        (lambda: tensor_green_with_circle(f4_frobenius_green(), p_circle(2, 2), -1),
+         InvalidArgument, "truncation must be >= 0, got -1"),
+    ],
+    ids=["relation-width", "vector-length", "hom-columns", "hom-rows", "ambient-rank",
+         "compose", "endpoints", "power", "codomain", "box-power-0", "box-many-empty",
+         "negative-truncation"],
+)
+def test_malformed_input_raises_typed_error(make, error, message):
+    # each is a MackeyboxError and still a ValueError, so callers that catch
+    # ValueError keep working
+    with pytest.raises(error, match=message) as raised:
+        make()
+    assert isinstance(raised.value, MackeyboxError) and isinstance(raised.value, ValueError)
 
 
 def test_ill_formed_hom_rejected():

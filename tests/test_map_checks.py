@@ -346,15 +346,9 @@ def _single_law_cases():
     jtop = j_top(2, cyclic_group(2))
     return {
         1: (c0, c0, constant(2, 2), IntMatrix([[0]]), IntMatrix([[1]])),
-        2: (f4, c0, jtop, IntMatrix([[0, 1]]), IntMatrix.zeros(0, 2)),
-        3: (c0, f4, jtop, IntMatrix([[0, 1]]), IntMatrix.zeros(0, 2)),
-        "weyl": (
-            f4,
-            f4,
-            f4,
-            IntMatrix([[1, 1, 1, 1], [0, 0, 0, 1]]),
-            IntMatrix([[1, 0, 0, 1], [0, 1, 1, 0]]),
-        ),
+        2: (f4, c0, jtop, IntMatrix([[1]]), IntMatrix.zeros(0, 2)),
+        3: (c0, f4, jtop, IntMatrix([[1]]), IntMatrix.zeros(0, 2)),
+        "weyl": (f4, f4, f4, IntMatrix([[1]]), IntMatrix([[1, 0, 0, 1], [0, 1, 1, 0]])),
     }
 
 
@@ -449,7 +443,7 @@ def test_maps_broken_in_one_square_match_oracle():
     omega = AbHom(v, v, IntMatrix([[0, -1], [1, -1]]))
     zw = MackeyFunctor(3, zero_group(), v, zero_hom(v, zero_group()), zero_hom(zero_group(), v), omega)
     cases = {
-        "transfer not respected": (f4, jtop, IntMatrix([[0, 1]]), z(0, 2)),
+        "transfer not respected": (f4, jtop, IntMatrix([[1]]), z(0, 2)),
         "restriction not respected": (c0, constant(2, 2), IntMatrix([[1]]), IntMatrix([[0]])),
         "action not respected": (zw, zw, z(0, 0), IntMatrix([[1, 0], [0, 0]])),
     }

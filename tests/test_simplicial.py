@@ -394,7 +394,7 @@ def test_left_unit_only_ring_raises_not_a_module():
         tensor_green_with_circle(g, p_circle(2, 2), 2)
 
 
-def _moore_homology(sm):
+def moore_homology(sm):
     """Homology of the Moore complex of ``sm``: degree n is level n and the
     differential is the alternating sum of the faces out of it.  By
     Dold-Kan it is the homology of the simplicial object below the
@@ -414,19 +414,19 @@ def test_burnside_circle_tensor_is_the_unit_in_homology(t):
     # the Burnside functor is the unit for the box product, so every level is
     # A and the faces are identities: d_n is 0 for odd n and the identity for
     # even n, leaving H_0 = A and nothing else below the truncation
-    h = _moore_homology(tensor_green_with_circle(burnside_green(2), p_circle(2, t), t))
+    h = moore_homology(tensor_green_with_circle(burnside_green(2), p_circle(2, t), t))
     assert canonical_levels(h[0]) == canonical_levels(burnside(2))
     for n in range(1, t):
         assert h[n].is_zero()
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_f4_circle_tensor_bottom_is_twisted_hochschild(t):
     # the bottom level is the cyclic bar construction of F_4 over F_2 with the
     # Frobenius on the seam face, so its homology is the sigma-twisted
     # Hochschild homology of F_4, zero in every degree because F_4 is
     # separable and sigma is not the identity (Weibel, section 9.2); an
     # untwisted or misplaced twist leaves F_4 in degree 0
-    h = _moore_homology(tensor_green_with_circle(f4_frobenius_green(), p_circle(2, t), t))
+    h = moore_homology(tensor_green_with_circle(f4_frobenius_green(), p_circle(2, t), t))
     for n in range(t):
         assert h[n].bottom.is_zero_group()
